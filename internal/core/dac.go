@@ -64,12 +64,12 @@ func NewDAC(n, selfPort int, input, eps float64) (*DAC, error) {
 		return nil, err
 	}
 	d := &DAC{
-		n:        n,
-		pEnd:     PEndDAC(eps),
-		quorum:   CrashQuorum(n),
-		v:        input,
-		vmin:     input,
-		vmax:     input,
+		n:      n,
+		pEnd:   PEndDAC(eps),
+		quorum: CrashQuorum(n),
+		v:      input,
+		vmin:   input,
+		vmax:   input,
 		// A bitset, not []bool: with n nodes each holding an n-entry R
 		// vector the per-node ~n bytes would put the whole population at
 		// Θ(n²) — a gigabyte-scale footprint at n≥6·10⁴. Bits cut it 8×

@@ -112,7 +112,8 @@ type Timing struct {
 // Snapshot is one point-in-time aggregate view of a Collector. All
 // fields except Timing are deterministic counters/gauges; gauges
 // (Range, Running, Decided) hold the most recent sample's value, which
-// under concurrent engines is a last-writer-wins race by design.
+// with several engines sharing one collector (batch workers) is a
+// last-writer-wins race by design.
 type Snapshot struct {
 	// Rounds, Delivered, Lost accumulate over every RoundDone.
 	Rounds    uint64 `json:"rounds"`

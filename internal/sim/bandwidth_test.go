@@ -146,8 +146,8 @@ func TestBandwidthCapEngineEquivalence(t *testing.T) {
 			MaxRounds:       40,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if seq.MessagesOversized == 0 {
 		t.Error("equivalence test vacuous: no drops happened")
 	}

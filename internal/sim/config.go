@@ -1,9 +1,9 @@
 // Package sim executes the synchronous-round protocol of §II-A: in every
 // round the message adversary picks E(t), every alive node broadcasts,
 // Byzantine nodes emit per-receiver messages, and deliveries reach each
-// receiver tagged with its local port. Two engines share the semantics:
-// a deterministic sequential engine and a goroutine-per-node concurrent
-// engine with a round barrier; they produce identical results.
+// receiver tagged with its local port. One deterministic engine runs
+// it; Config.RoundWorkers can shard each round's receiver loop across a
+// worker pool without changing any result.
 package sim
 
 import (

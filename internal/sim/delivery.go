@@ -31,8 +31,8 @@ func fillCrashState(rounds []int, info []fault.Crash, s fault.Schedule) {
 }
 
 // Shared pieces of the word-wise delivery core, used identically by the
-// sequential and the concurrent engine so the two stay bit-for-bit
-// equivalent.
+// sequential receiver loop and the receiver-parallel pool so the two
+// stay bit-for-bit equivalent.
 
 // sortDeliveriesByPort restores the documented ascending-port delivery
 // order after a node-order in-neighbor gather. Ports within one

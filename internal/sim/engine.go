@@ -59,7 +59,7 @@ type Engine struct {
 	recvMask   []uint64             // word-wise mask of round-t-eligible receivers
 	edges      *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
 	inPlace    adversary.InPlace    // non-nil when the adversary has the fast path
-	hooks      Hooks                // effective hooks: cfg.Hooks with the deprecated fields folded in
+	hooks      Hooks                // cfg.Hooks for this run
 	roundObs   RoundObserver        // the effective Observer's optional round hook, cached
 	needSize   bool                 // any consumer of wire sizes configured
 	hasCap     bool                 // any per-link byte budget configured
@@ -372,9 +372,8 @@ func (e *Engine) roundEdges(t int) *network.EdgeSet {
 // equivalent because every Process.Broadcast implementation is a pure
 // read — a node's public state at the start of round t is exactly its
 // state after EndRound of the last round it was processed in, which the
-// delivery loop captures as it goes. The concurrent engine has used the
-// same end-of-round capture since its introduction; the property test
-// pins both against the eager reference.
+// delivery loop captures as it goes. The delivery-equivalence property
+// pins the lazy modes against the eager reference.
 func (e *Engine) refreshView(t int) {
 	switch {
 	case e.referenceRound:

@@ -3,66 +3,75 @@ package sim
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"anondyn/internal/adversary"
 	"anondyn/internal/fault"
 	"anondyn/internal/network"
 )
 
-// buildPair constructs two identical configurations (fresh Process
-// instances, fresh adversaries from the same factory) for the two
-// engines.
-func buildPair(t *testing.T, mk func() Config) (Config, Config) {
-	t.Helper()
-	return mk(), mk()
-}
+// parWorkers is the receiver-pool size the equivalence oracles run
+// against the sequential loop.
+const parWorkers = 4
 
-// assertSameResult compares everything that must match between engines.
-func assertSameResult(t *testing.T, seq, conc *Result) {
+// assertSameResult compares everything that must match between the
+// sequential and the receiver-parallel round loop.
+func assertSameResult(t *testing.T, seq, par *Result) {
 	t.Helper()
-	if seq.Decided != conc.Decided {
-		t.Fatalf("Decided: seq %v, conc %v", seq.Decided, conc.Decided)
+	if seq.Decided != par.Decided {
+		t.Fatalf("Decided: seq %v, par %v", seq.Decided, par.Decided)
 	}
-	if seq.Rounds != conc.Rounds {
-		t.Errorf("Rounds: seq %d, conc %d", seq.Rounds, conc.Rounds)
+	if seq.Rounds != par.Rounds {
+		t.Errorf("Rounds: seq %d, par %d", seq.Rounds, par.Rounds)
 	}
-	if !reflect.DeepEqual(seq.Outputs, conc.Outputs) {
-		t.Errorf("Outputs differ:\nseq  %v\nconc %v", seq.Outputs, conc.Outputs)
+	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
+		t.Errorf("Outputs differ:\nseq %v\npar %v", seq.Outputs, par.Outputs)
 	}
-	if !reflect.DeepEqual(seq.DecideRound, conc.DecideRound) {
-		t.Errorf("DecideRound differ:\nseq  %v\nconc %v", seq.DecideRound, conc.DecideRound)
+	if !reflect.DeepEqual(seq.DecideRound, par.DecideRound) {
+		t.Errorf("DecideRound differ:\nseq %v\npar %v", seq.DecideRound, par.DecideRound)
 	}
-	if seq.MessagesDelivered != conc.MessagesDelivered {
-		t.Errorf("MessagesDelivered: seq %d, conc %d", seq.MessagesDelivered, conc.MessagesDelivered)
+	if seq.MessagesDelivered != par.MessagesDelivered {
+		t.Errorf("MessagesDelivered: seq %d, par %d", seq.MessagesDelivered, par.MessagesDelivered)
 	}
-	if seq.MessagesLost != conc.MessagesLost {
-		t.Errorf("MessagesLost: seq %d, conc %d", seq.MessagesLost, conc.MessagesLost)
+	if seq.MessagesLost != par.MessagesLost {
+		t.Errorf("MessagesLost: seq %d, par %d", seq.MessagesLost, par.MessagesLost)
 	}
-	if seq.MessagesOversized != conc.MessagesOversized {
-		t.Errorf("MessagesOversized: seq %d, conc %d", seq.MessagesOversized, conc.MessagesOversized)
+	if seq.MessagesOversized != par.MessagesOversized {
+		t.Errorf("MessagesOversized: seq %d, par %d", seq.MessagesOversized, par.MessagesOversized)
 	}
-	if seq.BytesDelivered != conc.BytesDelivered {
-		t.Errorf("BytesDelivered: seq %d, conc %d", seq.BytesDelivered, conc.BytesDelivered)
+	if seq.BytesDelivered != par.BytesDelivered {
+		t.Errorf("BytesDelivered: seq %d, par %d", seq.BytesDelivered, par.BytesDelivered)
 	}
 }
 
+// runParallel runs cfg with its receiver loop sharded over a
+// parWorkers pool, failing the test if the pool did not engage — an
+// oracle whose parallel side silently ran the sequential loop would
+// pass vacuously.
+func runParallel(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	cfg.RoundWorkers = parWorkers
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if !eng.parRounds {
+		t.Fatal("receiver pool did not engage — equivalence test vacuous")
+	}
+	return eng.Run()
+}
+
+// runBoth runs two fresh copies of one configuration (fresh Process
+// instances, fresh adversaries from the same factory): sequentially,
+// and with the receiver loop sharded over the pool.
 func runBoth(t *testing.T, mk func() Config) (*Result, *Result) {
 	t.Helper()
-	seqCfg, concCfg := buildPair(t, mk)
-	seqEng, err := NewEngine(seqCfg)
+	seqEng, err := NewEngine(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := seqEng.Run()
-	concEng, err := NewConcurrentEngine(concCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := concEng.Run()
-	return seq, conc
+	return seqEng.Run(), runParallel(t, mk())
 }
 
 func TestEquivalenceDACRotating(t *testing.T) {
@@ -78,8 +87,8 @@ func TestEquivalenceDACRotating(t *testing.T) {
 			AccountBandwidth: true,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if !seq.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
@@ -103,8 +112,8 @@ func TestEquivalenceDACCrashesRandomPorts(t *testing.T) {
 			Ports:     network.RandomPorts(7, newRand(17)),
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if !seq.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
@@ -124,8 +133,8 @@ func TestEquivalenceDBACByzantine(t *testing.T) {
 			Adversary: adversary.NewComplete(),
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if !seq.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
@@ -144,8 +153,8 @@ func TestEquivalenceAdaptiveClustered(t *testing.T) {
 			MaxRounds: 400,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if !seq.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
@@ -164,123 +173,22 @@ func TestEquivalenceUndecidedRun(t *testing.T) {
 			MaxRounds: 40,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 	if seq.Decided {
 		t.Error("split scenario should not decide")
 	}
 }
 
-// observerLog records callbacks for cross-engine comparison. Within a
-// round the concurrent engine groups transitions by node, so we compare
-// per-node sequences, which must match exactly.
-type observerLog struct {
-	phases  map[int][]int
-	decides map[int]float64
-}
-
-func newObserverLog() *observerLog {
-	return &observerLog{phases: make(map[int][]int), decides: make(map[int]float64)}
-}
-
-func (o *observerLog) OnPhaseEnter(node, from, to int, value float64, round int) {
-	o.phases[node] = append(o.phases[node], from, to, round)
-}
-
-func (o *observerLog) OnDecide(node int, value float64, round int) {
-	o.decides[node] = value
-}
-
-func TestEquivalenceObserverStreams(t *testing.T) {
-	mkWith := func(obs Observer) Config {
-		rot, err := adversary.NewRotating(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			N:         9,
-			Procs:     dacProcs(t, 9, 6, spread(9)),
-			Adversary: rot,
-			Hooks:     Hooks{Observer: obs},
-		}
-	}
-	seqObs, concObs := newObserverLog(), newObserverLog()
-	seqEng, err := NewEngine(mkWith(seqObs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqEng.Run()
-	concEng, err := NewConcurrentEngine(mkWith(concObs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	concEng.Run()
-	if !reflect.DeepEqual(seqObs.phases, concObs.phases) {
-		t.Error("per-node phase transition streams differ between engines")
-	}
-	if !reflect.DeepEqual(seqObs.decides, concObs.decides) {
-		t.Error("decide callbacks differ between engines")
-	}
-}
-
-func TestConcurrentEngineNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		cfg := Config{
-			N:         7,
-			Procs:     dacProcs(t, 7, 5, spread(7)),
-			Adversary: adversary.NewComplete(),
-		}
-		eng, err := NewConcurrentEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := eng.Run(); !res.Decided {
-			t.Fatal("undecided")
-		}
-	}
-	// Give exiting workers a moment, then compare.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines: %d before, %d after — workers leaked", before, runtime.NumGoroutine())
-}
-
-func TestConcurrentEngineCloseIdempotent(t *testing.T) {
-	cfg := Config{
-		N:         3,
-		Procs:     dacProcs(t, 3, 2, []float64{0, 0.5, 1}),
-		Adversary: adversary.NewComplete(),
-	}
-	eng, err := NewConcurrentEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Run()
-	if !res.Decided {
-		t.Error("undecided")
-	}
-	eng.Close()
-	eng.Close()
-}
-
+// TestConcurrentMatchesTheoreticalContraction: receiver-parallel
+// rounds on the complete graph keep Theorem 3's optimal rate — one
+// phase per round, range at most (1/2)^pEnd.
 func TestConcurrentMatchesTheoreticalContraction(t *testing.T) {
-	// Concurrent engine, complete graph: same optimal-rate result as the
-	// sequential engine’s Theorem 3 behavior.
-	cfg := Config{
+	res := runParallel(t, Config{
 		N:         9,
 		Procs:     dacProcs(t, 9, 10, spread(9)),
 		Adversary: adversary.NewComplete(),
-	}
-	eng, err := NewConcurrentEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Run()
+	})
 	if !res.Decided || res.Rounds != 10 {
 		t.Fatalf("rounds = %d decided = %v, want 10, true", res.Rounds, res.Decided)
 	}

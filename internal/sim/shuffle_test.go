@@ -78,7 +78,7 @@ func TestShuffleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestShuffleEngineEquivalence: the concurrent engine applies the same
+// TestShuffleEngineEquivalence: receiver-parallel rounds apply the same
 // deterministic permutations.
 func TestShuffleEngineEquivalence(t *testing.T) {
 	mk := func() Config {
@@ -94,8 +94,8 @@ func TestShuffleEngineEquivalence(t *testing.T) {
 			ShuffleSeed:     99,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	seq, par := runBoth(t, mk)
+	assertSameResult(t, seq, par)
 }
 
 func TestShuffleDeliveriesHelper(t *testing.T) {

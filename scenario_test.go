@@ -1,8 +1,15 @@
 package anondyn_test
 
 import (
+	"bytes"
+	"context"
 	"errors"
-	"math"
+	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/pprof"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"anondyn"
@@ -103,31 +110,78 @@ func TestScenarioDBACByzantine(t *testing.T) {
 	}
 }
 
+// TestScenarioConcurrentMatchesSequential: a scenario whose receiver
+// loop is sharded over a RoundWorkers pool reproduces the sequential
+// run field for field, and the pool really ran it.
 func TestScenarioConcurrentMatchesSequential(t *testing.T) {
-	mk := func(concurrent bool) *anondyn.Result {
-		res, err := anondyn.Scenario{
+	mk := func(workers int) anondyn.Scenario {
+		return anondyn.Scenario{
 			N: 9, F: 4, Eps: 1e-3,
-			Algorithm:  anondyn.AlgoDAC,
-			Inputs:     anondyn.SpreadInputs(9),
-			Adversary:  anondyn.Rotating(4),
-			Crashes:    map[int]anondyn.Crash{1: anondyn.CrashAt(2)},
-			Concurrent: concurrent,
-		}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, conc := mk(false), mk(true)
-	if seq.Rounds != conc.Rounds || seq.Decided != conc.Decided {
-		t.Errorf("rounds/decided differ: seq %d/%v, conc %d/%v",
-			seq.Rounds, seq.Decided, conc.Rounds, conc.Decided)
-	}
-	for node, v := range seq.Outputs {
-		if cv, ok := conc.Outputs[node]; !ok || math.Abs(cv-v) > 0 {
-			t.Errorf("node %d: seq %g, conc %v", node, v, conc.Outputs[node])
+			Algorithm:    anondyn.AlgoDAC,
+			Inputs:       anondyn.SpreadInputs(9),
+			Adversary:    anondyn.Rotating(4),
+			Crashes:      map[int]anondyn.Crash{1: anondyn.CrashAt(2)},
+			RoundWorkers: workers,
 		}
 	}
+	seq, err := mk(0).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The compiled scenario keeps its engine, and so the pool, alive
+	// until the workers are counted.
+	cs, err := mk(4).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh label per call: pools of earlier calls (-count) linger
+	// until their engines are collected.
+	label := fmt.Sprintf("%s#%d", t.Name(), oracleCalls.Add(1))
+	var par *anondyn.Result
+	pprof.Do(context.Background(), pprof.Labels("oracle", label), func(context.Context) {
+		par, err = cs.Run(0, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := labelledGoroutines(t, label); got != 4 {
+		t.Fatalf("%d receiver-pool workers ran the scenario, want 4", got)
+	}
+	runtime.KeepAlive(cs)
+	if !seq.Decided {
+		t.Fatal("scenario never decided — equivalence test vacuous")
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("results differ:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+var oracleCalls atomic.Int64
+
+// labelledGoroutines counts the live goroutines carrying the pprof
+// label oracle=name. Goroutines inherit their creator's labels, and a
+// run spawns none besides its receiver pool's workers, so under a label
+// wrapped around one run this is the pool size. Counting by label, not
+// by stack, also sees workers the scheduler has not started yet.
+func labelledGoroutines(t *testing.T, name string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(buf.String(), "\n") // drop the profile header
+	label := fmt.Sprintf("%q:%q", "oracle", name)
+	total := 0
+	for _, rec := range strings.Split(body, "\n\n") {
+		if strings.Contains(rec, label) {
+			var k int
+			if _, err := fmt.Sscanf(rec, "%d @", &k); err != nil {
+				t.Fatalf("unparsable goroutine record %q: %v", rec, err)
+			}
+			total += k
+		}
+	}
+	return total
 }
 
 func TestScenarioRandomPortsStillCorrect(t *testing.T) {
