@@ -29,6 +29,11 @@
 //
 //	benchgate -baseline bench/baseline.txt -new new.txt \
 //	    -append bench/BENCH_engine.json -label pr7
+//
+// Each appended entry also records the machine context of the fresh
+// run, so a ledger row can be attributed: goos/goarch/cpu from the
+// `go test` header, GOMAXPROCS from the benchmark-name suffix, and the
+// measured commit from -commit.
 package main
 
 import (
@@ -63,6 +68,7 @@ func run(args []string, out *os.File) error {
 		require      = fs.String("require", "", "comma-separated regexps that must each match at least one gated benchmark (guards against silently dropped or renamed benchmarks)")
 		appendPath   = fs.String("append", "", "JSON history file to append the gated medians of a passing run to (requires -label)")
 		label        = fs.String("label", "", "entry label for -append, e.g. a PR number or commit; duplicate labels are rejected")
+		commit       = fs.String("commit", "", "commit the -new run measured, recorded in the -append entry's context")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +108,12 @@ func run(args []string, out *os.File) error {
 		if *label == "" {
 			return fmt.Errorf("-append requires -label")
 		}
-		if err := appendHistory(*appendPath, *label, fresh, gated, out); err != nil {
+		ctx, err := parseBenchContext(*newPath)
+		if err != nil {
+			return err
+		}
+		ctx.Commit = *commit
+		if err := appendHistory(*appendPath, *label, ctx, fresh, gated, out); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "recorded %d benchmark(s) as %q in %s\n", len(gated), *label, *appendPath)
@@ -116,7 +127,18 @@ func run(args []string, out *os.File) error {
 // stays reconstructible even though baseline.txt itself is overwritten.
 type historyEntry struct {
 	Label      string                   `json:"label"`
+	Context    *benchContext            `json:"context,omitempty"`
 	Benchmarks map[string]historyMetric `json:"benchmarks"`
+}
+
+// benchContext is the machine a ledger entry was measured on; entries
+// recorded before benchgate captured it have none.
+type benchContext struct {
+	Commit     string `json:"commit,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 type historyMetric struct {
@@ -129,7 +151,7 @@ type historyMetric struct {
 // duplicate label (re-running CI on the same PR must not double-record),
 // prints per-benchmark deltas against the previous entry, and writes
 // the extended array back.
-func appendHistory(path, label string, fresh samples, names []string, out *os.File) error {
+func appendHistory(path, label string, ctx benchContext, fresh samples, names []string, out *os.File) error {
 	var history []historyEntry
 	data, err := os.ReadFile(path)
 	switch {
@@ -147,7 +169,7 @@ func appendHistory(path, label string, fresh samples, names []string, out *os.Fi
 			return fmt.Errorf("%s: label %q already recorded", path, label)
 		}
 	}
-	entry := historyEntry{Label: label, Benchmarks: map[string]historyMetric{}}
+	entry := historyEntry{Label: label, Context: &ctx, Benchmarks: map[string]historyMetric{}}
 	for _, name := range names {
 		var m historyMetric
 		if xs := fresh[name]["ns/op"]; len(xs) > 0 {
@@ -381,6 +403,38 @@ func parseBenchFile(path string) (samples, error) {
 		return nil, fmt.Errorf("%s: no benchmark lines", path)
 	}
 	return s, nil
+}
+
+// parseBenchContext reads the machine context of a Go benchmark output
+// file: the goos/goarch/cpu header lines, and GOMAXPROCS from the first
+// benchmark name's -<N> suffix (absent when GOMAXPROCS is 1).
+func parseBenchContext(path string) (benchContext, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return benchContext{}, err
+	}
+	defer f.Close()
+	var ctx benchContext
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		key, value, _ := strings.Cut(line, ": ")
+		switch key {
+		case "goos":
+			ctx.GOOS = value
+		case "goarch":
+			ctx.GOARCH = value
+		case "cpu":
+			ctx.CPU = value
+		}
+		if _, _, ok := parseBenchLine(line); ok && ctx.GOMAXPROCS == 0 {
+			ctx.GOMAXPROCS = 1
+			if suffix := procSuffix.FindString(strings.Fields(line)[0]); suffix != "" {
+				ctx.GOMAXPROCS, _ = strconv.Atoi(suffix[1:])
+			}
+		}
+	}
+	return ctx, sc.Err()
 }
 
 // procSuffix strips the trailing -<GOMAXPROCS> so baselines recorded

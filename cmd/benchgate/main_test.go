@@ -194,6 +194,41 @@ func TestAppendHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendRecordsMachineContext: an appended entry carries the
+// commit from -commit, the header's goos/cpu, and GOMAXPROCS from the
+// benchmark-name suffix (1 when the names have none).
+func TestAppendRecordsMachineContext(t *testing.T) {
+	dir := t.TempDir()
+	text := "cpu: Test CPU @ 2.0GHz\n" + baselineText
+	base := write(t, dir, "base.txt", text)
+	fresh := write(t, dir, "new.txt", text)
+	bare := write(t, dir, "bare.txt", "BenchmarkEngineRoundCompiled 100 20110 ns/op 20 allocs/op\n")
+	hist := filepath.Join(dir, "BENCH_engine.json")
+	if err := run([]string{"-baseline", base, "-new", fresh,
+		"-append", hist, "-label", "a", "-commit", "abc123"}, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-baseline", base, "-new", bare,
+		"-append", hist, "-label", "b"}, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history []historyEntry
+	if err := json.Unmarshal(data, &history); err != nil {
+		t.Fatal(err)
+	}
+	want := benchContext{Commit: "abc123", GOOS: "linux", CPU: "Test CPU @ 2.0GHz", GOMAXPROCS: 4}
+	if got := history[0].Context; got == nil || *got != want {
+		t.Errorf("context = %+v, want %+v", got, want)
+	}
+	if got := history[1].Context; got == nil || got.GOMAXPROCS != 1 {
+		t.Errorf("suffix-less run: context = %+v, want GOMAXPROCS 1", got)
+	}
+}
+
 // edgeText reports the custom ns/edge metric alongside the standard
 // units, as BenchmarkEngineRound does via b.ReportMetric.
 const edgeText = `

@@ -22,6 +22,9 @@
 // gracefully — finish the shard in flight, announce the leave, exit.
 // -token carries the shared secret of the shard handshake.
 //
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap
+// profiles of the whole invocation, in every mode.
+//
 // Usage:
 //
 //	dynabench                      # run every experiment
@@ -33,10 +36,12 @@
 //	dynabench -sweep -ns 5,7 -advs er:0.3 -save-spec er.yaml
 //	dynabench -spec examples/specs/e1-dac-convergence.yaml
 //	dynabench -spec-dir examples/specs -seeds 1   # smoke every artifact
+//	dynabench -spec big.yaml -cpuprofile cpu.out  # then: go tool pprof cpu.out
 //	dynabench -serve 127.0.0.1:7101 -workers 4    # distributed sweep worker
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,6 +57,7 @@ import (
 	"anondyn/internal/experiments"
 	"anondyn/internal/harness"
 	"anondyn/internal/metrics"
+	"anondyn/internal/profile"
 	"anondyn/internal/report"
 	"anondyn/internal/shard"
 	"anondyn/internal/spec"
@@ -64,7 +70,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dynabench", flag.ContinueOnError)
 	var (
 		exp        = fs.String("exp", "", "run only this experiment (e.g. E3)")
@@ -90,9 +96,16 @@ func run(args []string) error {
 		joinAddr   = fs.String("join", "", "worker mode: dial into a dynagrid -serve-coordinator control plane at this address (reconnects until shutdown; combines with or replaces -serve)")
 		token      = fs.String("token", "", "worker mode: shared secret for the shard handshake (must match the coordinator's -token; empty disables auth)")
 	)
+	var prof profile.Flags
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 

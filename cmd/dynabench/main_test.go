@@ -221,3 +221,19 @@ func TestServeModeFlagExclusion(t *testing.T) {
 		t.Error("bad -serve address accepted")
 	}
 }
+
+// TestSpecRunWritesProfiles: -cpuprofile and -memprofile on a -spec run
+// each leave a non-empty pprof file behind.
+func TestSpecRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := run([]string{"-spec", "../../examples/specs/quickstart-sweep.yaml", "-seeds", "1",
+		"-report", filepath.Join(dir, "r.json"), "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatalf("profiled spec run: %v", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", filepath.Base(path), err)
+		}
+	}
+}

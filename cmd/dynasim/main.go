@@ -11,6 +11,8 @@
 // -save-spec writes the flag configuration out as a declarative sweep
 // file (a 1-cell matrix), and -spec runs such a file — the same format
 // dynabench sweeps and the committed examples/specs artifacts use.
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the run.
 //
 // Examples:
 //
@@ -26,6 +28,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +40,7 @@ import (
 
 	"anondyn"
 	"anondyn/internal/metrics"
+	"anondyn/internal/profile"
 	"anondyn/internal/report"
 	"anondyn/internal/spec"
 	"anondyn/internal/trace"
@@ -49,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dynasim", flag.ContinueOnError)
 	var (
 		algoName   = fs.String("algo", "dac", "algorithm: dac, dbac, dbac-pb, megaround, fullinfo, reliter, bacrel, floodmin")
@@ -78,9 +82,16 @@ func run(args []string) error {
 		saveSpec   = fs.String("save-spec", "", "write the flag scenario as a declarative spec file before running")
 		validate   = fs.Bool("validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
 	)
+	var prof profile.Flags
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
 	if err != nil {

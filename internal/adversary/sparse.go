@@ -36,6 +36,11 @@ func sparseBernoulliInto(dst *network.EdgeSet, n int, p float64, rng *rand.Rand)
 		dst.FillComplete()
 		return
 	}
+	// Size the log for the draw up front: the link count is
+	// Binomial(n(n−1), p), and mean + 6σ covers every realistic round,
+	// so a sparse dst grows once instead of through a chain of appends.
+	mean := p * float64(n) * float64(n-1)
+	dst.Reserve(int(mean + 6*math.Sqrt(mean*(1-p))))
 	invRate := -1 / math.Log1p(-p) // 1/λ > 0
 	// rem counts the grid cells strictly after the current position;
 	// comparing the skip against it in float64 sidesteps int overflow on

@@ -22,16 +22,25 @@ func (st *Storm) WrapAdversary(base anondyn.Adversary) anondyn.Adversary {
 // stormAdversary filters a base adversary's per-round edge set through
 // the storm's active connectivity windows. It always implements the
 // InPlace fast path: the base fills the engine-owned scratch set (or is
-// copied into it), then one sender-major walk collects the surviving
-// links and rebuilds the set — O(edges) per round in either
-// representation, with the walk order (and hence every starvation draw)
-// identical across the dense/CSR switch.
+// copied into it), then EdgeSet.Retain drops the suppressed links in
+// place — O(edges) per round in either representation, with the walk
+// order (and hence every starvation draw) identical across the
+// dense/CSR switch. The active-window scratch is reused round to round,
+// so a filtered round allocates nothing.
 type stormAdversary struct {
 	base    adversary.Adversary
 	inPlace adversary.InPlace // non-nil when the base has the fast path
 	cuts    []cutWindow
 	starves []starveWindow
-	keep    []uint64 // surviving-edge scratch, u<<32|v
+
+	activeCuts []cutWindow  // cut windows active this round
+	draws      []starveDraw // starve windows active this round
+}
+
+// starveDraw is one active starve window's per-round drop stream.
+type starveDraw struct {
+	rng  stream
+	rate float64
 }
 
 // Name labels the wrapper in traces and logs.
@@ -63,46 +72,45 @@ func (a *stormAdversary) Oblivious() bool { return adversary.IsOblivious(a.base)
 // windows' per-round drop draws (sender-major order; see
 // StreamVersion). Rounds with no active window return untouched.
 func (a *stormAdversary) filter(t int, dst *network.EdgeSet) {
-	var cuts []cutWindow
+	if a.activate(t) {
+		dst.Retain(a.keep)
+	}
+}
+
+// activate loads round t's active windows into the reused scratch and
+// reports whether any is active.
+func (a *stormAdversary) activate(t int) bool {
+	a.activeCuts = a.activeCuts[:0]
 	for _, w := range a.cuts {
 		if t >= w.from && t < w.until {
-			cuts = append(cuts, w)
+			a.activeCuts = append(a.activeCuts, w)
 		}
 	}
-	var rngs []*stream
-	var rates []float64
+	a.draws = a.draws[:0]
 	for _, w := range a.starves {
 		if t >= w.from && t < w.until {
-			rngs = append(rngs, newStream(mix(int64(w.seed), uint64(t)*saltStarve)))
-			rates = append(rates, w.rate)
+			a.draws = append(a.draws, starveDraw{
+				rng:  stream{z: mix(int64(w.seed), uint64(t)*saltStarve)},
+				rate: w.rate,
+			})
 		}
 	}
-	if len(cuts) == 0 && len(rngs) == 0 {
-		return
-	}
-	a.keep = a.keep[:0]
-	dropped := false
-	dst.ForEachEdge(func(u, v int) bool {
-		for _, w := range cuts {
-			if w.inCut[u] != w.inCut[v] {
-				dropped = true
-				return true
-			}
+	return len(a.activeCuts) > 0 || len(a.draws) > 0
+}
+
+// keep decides one link's fate this round: dropped when it crosses an
+// active cut, otherwise when any active starve window's draw falls
+// under its rate (windows in spec order, stopping at the first drop).
+func (a *stormAdversary) keep(u, v int) bool {
+	for _, w := range a.activeCuts {
+		if w.inCut[u] != w.inCut[v] {
+			return false
 		}
-		for i, rng := range rngs {
-			if rng.float64() < rates[i] {
-				dropped = true
-				return true
-			}
+	}
+	for i := range a.draws {
+		if d := &a.draws[i]; d.rng.float64() < d.rate {
+			return false
 		}
-		a.keep = append(a.keep, uint64(u)<<32|uint64(uint32(v)))
-		return true
-	})
-	if !dropped {
-		return
 	}
-	dst.Reset()
-	for _, p := range a.keep {
-		dst.AddUnchecked(int(p>>32), int(uint32(p)))
-	}
+	return true
 }

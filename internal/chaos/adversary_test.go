@@ -77,41 +77,130 @@ func TestPartitionCutsCrossingEdges(t *testing.T) {
 }
 
 // TestStarveDenseSparseParity: the wrapper's starvation draws walk
-// edges in sender-major order in both representations, so the filtered
+// edges in sender-major order in every representation, so the filtered
 // set is identical across the dense/CSR switch — the determinism
-// contract behind sharding large storms.
+// contract behind sharding large storms. Three inputs carry the same
+// complete graph: a dense set, an ordered sparse log (filtered in
+// place) and a sparse log filled out of order with duplicates (built,
+// then rewritten). keep must see each link exactly once, in ForEachEdge
+// order, for all three.
 func TestStarveDenseSparseParity(t *testing.T) {
+	const n = 60
 	s := &Stress{
-		Fleet:  Fleet{TotalNodes: 60},
+		Fleet:  Fleet{TotalNodes: n},
 		Rounds: 20,
 		Events: []Event{{Kind: "starve", Round: 1, Duration: 20, Rate: 0.4}},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for round := 1; round <= 4; round++ {
-		// Fresh wrappers per representation: filter state is scratch.
-		wd := s.CompileStorm(9).WrapAdversary(completeBase{}).(*stormAdversary)
-		ws := s.CompileStorm(9).WrapAdversary(completeBase{}).(*stormAdversary)
-		dense := network.NewEdgeSet(60)
-		dense.FillComplete()
-		wd.filter(round, dense)
-		sparse := network.NewEdgeSetSparse(60)
-		sparse.FillComplete()
-		ws.filter(round, sparse)
-		if dense.Len() != sparse.Len() {
-			t.Fatalf("round %d: dense kept %d edges, sparse %d", round, dense.Len(), sparse.Len())
-		}
-		if dense.Len() == 60*59 {
-			t.Errorf("round %d: starvation at rate 0.4 dropped nothing", round)
-		}
-		sparse.ForEachEdge(func(u, v int) bool {
-			if !dense.Has(u, v) {
-				t.Errorf("round %d: edge %d→%d in sparse result only", round, u, v)
-				return false
+	inputs := []struct {
+		name string
+		make func() *network.EdgeSet
+	}{
+		{"dense", func() *network.EdgeSet {
+			e := network.NewEdgeSet(n)
+			e.FillComplete()
+			return e
+		}},
+		{"sparse-ordered", func() *network.EdgeSet {
+			e := network.NewEdgeSetSparse(n)
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					e.Add(u, v)
+				}
 			}
-			return true
-		})
+			return e
+		}},
+		{"sparse-unordered", func() *network.EdgeSet {
+			e := network.NewEdgeSetSparse(n)
+			for u := n - 1; u >= 0; u-- {
+				for v := n - 1; v >= 0; v-- {
+					e.Add(u, v)
+					if (u+v)%7 == 0 {
+						e.Add(u, v)
+					}
+				}
+			}
+			return e
+		}},
+	}
+	for round := 1; round <= 4; round++ {
+		var first *network.EdgeSet
+		for _, in := range inputs {
+			// A fresh wrapper per input: filter state is scratch.
+			w := s.CompileStorm(9).WrapAdversary(completeBase{}).(*stormAdversary)
+			e := in.make()
+			if e.IsSparse() != (in.name != "dense") {
+				t.Fatalf("%s: wrong representation", in.name)
+			}
+			want := e.Edges()
+			var seen [][2]int
+			if !w.activate(round) {
+				t.Fatalf("round %d: starve window inactive", round)
+			}
+			e.Retain(func(u, v int) bool {
+				seen = append(seen, [2]int{u, v})
+				return w.keep(u, v)
+			})
+			if len(seen) != len(want) {
+				t.Fatalf("round %d %s: keep saw %d links, want %d", round, in.name, len(seen), len(want))
+			}
+			for i := range want {
+				if seen[i] != want[i] {
+					t.Fatalf("round %d %s: keep call %d saw %v, want %v", round, in.name, i, seen[i], want[i])
+				}
+			}
+			if e.Len() == n*(n-1) {
+				t.Errorf("round %d %s: starvation at rate 0.4 dropped nothing", round, in.name)
+			}
+			if first == nil {
+				first = e
+			} else if !e.Equal(first) {
+				t.Errorf("round %d: %s kept a different set than dense", round, in.name)
+			}
+		}
+	}
+}
+
+// TestStormFilterZeroAllocRound: once warmed, an er2 round filtered by
+// an active partition and an active starve window allocates nothing at
+// CSR scale — the window scratch is reused, and Retain filters the
+// engine-owned set in place.
+func TestStormFilterZeroAllocRound(t *testing.T) {
+	const n = 4097
+	s := &Stress{
+		Fleet:  Fleet{TotalNodes: n, Groups: 4},
+		Rounds: 100,
+		Events: []Event{
+			{Kind: "partition", Round: 1, Duration: 100, Groups: []int{0}},
+			{Kind: "starve", Round: 1, Duration: 100, Rate: 0.3},
+		},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := adversary.NewSparseProbabilistic(0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.CompileStorm(5).WrapAdversary(base).(adversary.InPlace)
+	view := adversary.SizeView(n)
+	dst := network.NewEdgeSetAuto(n)
+	if !dst.IsSparse() {
+		t.Fatal("n=4097 should select the CSR representation")
+	}
+	round := 1
+	step := func() {
+		w.EdgesInto(round, view, dst)
+		_, _ = dst.InCSR() // the engine's read: force the build
+		round++
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(10, step); avg != 0 {
+		t.Errorf("warmed er2+storm round allocated %g times, want 0", avg)
 	}
 }
 
@@ -161,4 +250,46 @@ func TestWrapAdversaryInPlace(t *testing.T) {
 	if !adversary.IsOblivious(w) {
 		t.Error("wrapper hides the base's obliviousness")
 	}
+}
+
+// BenchmarkStormFilter measures one filtered round of the storm
+// workload's shape at CSR scale: an er2 round at n=4097, p=0.12 (~2M
+// links) copied into the engine-owned set, filtered by an active
+// partition and an active starve window, then built into the CSR views
+// the delivery core reads.
+func BenchmarkStormFilter(b *testing.B) {
+	const n = 4097
+	s := &Stress{
+		Fleet:  Fleet{TotalNodes: n, Groups: 4},
+		Rounds: 1 << 30,
+		Events: []Event{
+			{Kind: "partition", Round: 1, Duration: 1 << 29, Groups: []int{0}},
+			{Kind: "starve", Round: 1, Duration: 1 << 29, Rate: 0.3},
+		},
+	}
+	if err := s.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	base, err := adversary.NewSparseProbabilistic(0.12, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view := adversary.SizeView(n)
+	round := network.NewEdgeSetSparse(n)
+	base.EdgesInto(1, view, round)
+	edges := round.Len()
+	w := s.CompileStorm(5).WrapAdversary(base).(*stormAdversary)
+	dst := network.NewEdgeSetSparse(n)
+	filtered := func(t int) {
+		dst.CopyFrom(round)
+		w.filter(t, dst)
+		dst.InCSR()
+	}
+	filtered(1) // warm the scratch, as an engine's first round does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		filtered(2 + i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 }

@@ -22,9 +22,18 @@ const SparseThreshold = 2048
 // first time a reader needs one, deduplicating on the way (adversaries
 // that layer extra links over a copied schedule may log one link
 // twice; it must still deliver once).
+//
+// The log also tracks whether it is ordered: strictly ascending by
+// u<<32|v, which is exactly ForEachEdge order and rules out duplicates.
+// A reset log is ordered, appends keep it so while they ascend (the er2
+// sampler, dense-to-sparse copies and every filter do), and the first
+// out-of-order append clears the flag. An ordered log already IS the
+// sender-major view, so build skips the sort and dedup and Retain can
+// filter the log in place without building at all.
 type csrState struct {
-	pairs []uint64 // mutation log, u<<32 | v per link (duplicates allowed)
-	dirty bool     // log changed since the last build
+	pairs   []uint64 // mutation log, u<<32 | v per link
+	ordered bool     // pairs strictly ascending: canonical order, no duplicates
+	dirty   bool     // log changed since the last build
 
 	outStart []int32 // n+1 prefix offsets into outList
 	outList  []int32 // receivers, ascending within each sender row
@@ -33,6 +42,29 @@ type csrState struct {
 
 	cursor   []int32 // length-n scatter scratch for build
 	maxPairs int     // high-water mark of the log, for headroom sizing
+}
+
+// push appends one packed link to the log, clearing the ordered flag
+// when it does not ascend past the previous entry.
+func (c *csrState) push(p uint64) {
+	if c.ordered && len(c.pairs) > 0 && p <= c.pairs[len(c.pairs)-1] {
+		c.ordered = false
+	}
+	c.pairs = append(c.pairs, p)
+	c.dirty = true
+}
+
+// reserve makes room for k more log entries. When the log has to grow
+// it reallocates with 50% headroom over the need, so a run whose edge
+// count drifts upwards settles into a log that no longer grows.
+func (c *csrState) reserve(k int) {
+	need := len(c.pairs) + k
+	if cap(c.pairs) >= need {
+		return
+	}
+	grown := make([]uint64, len(c.pairs), need+need/2)
+	copy(grown, c.pairs)
+	c.pairs = grown
 }
 
 // NewEdgeSetSparse returns an empty edge set over n nodes in sparse CSR
@@ -51,6 +83,7 @@ func NewEdgeSetSparse(n int) *EdgeSet {
 			outStart: make([]int32, n+1),
 			inStart:  make([]int32, n+1),
 			cursor:   make([]int32, n),
+			ordered:  true,
 			dirty:    true,
 		},
 	}
@@ -116,12 +149,12 @@ func (e *EdgeSet) mustSparse(method string) *csrState {
 	return e.csr
 }
 
-// build compacts the mutation log into both CSR views: counting sort by
-// sender, per-row ascending order, in-place dedup, then a second
-// counting scatter for the transposed view. Cost O(n + log length);
-// rows arrive already sorted from every in-place generator (they emit
-// links in lexicographic or per-sender ascending order), so the sort is
-// normally a verification scan.
+// build compacts the mutation log into both CSR views. An ordered log
+// takes two passes: one that copies the receivers straight into outList
+// while counting both directions' degrees, then the transposed scatter.
+// Any other log takes the general path: counting sort by sender,
+// per-row ascending order, in-place dedup, a recount of in-degrees,
+// then the same scatter. Cost O(n + log length) either way.
 func (e *EdgeSet) build() {
 	c := e.csr
 	if !c.dirty {
@@ -132,15 +165,49 @@ func (e *EdgeSet) build() {
 		c.maxPairs = len(c.pairs)
 	}
 	n := e.n
-
-	// Sender-major: count, prefix, scatter.
 	clear(c.outStart)
+	clear(c.inStart)
+	var m int
+	if c.ordered {
+		m = len(c.pairs)
+		c.outList = growInt32(c.outList, m)
+		for i, p := range c.pairs {
+			v := uint32(p)
+			c.outList[i] = int32(v)
+			c.outStart[(p>>32)+1]++
+			c.inStart[v+1]++
+		}
+		prefixSum(c.outStart)
+	} else {
+		m = e.buildUnordered()
+		for _, v := range c.outList[:m] {
+			c.inStart[v+1]++
+		}
+	}
+	prefixSum(c.inStart)
+
+	// Receiver-major transpose: senders land in ascending order because
+	// the scatter walks senders in ascending order.
+	copy(c.cursor, c.inStart[:n])
+	c.inList = growInt32(c.inList, m)
+	for u := 0; u < n; u++ {
+		for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
+			c.inList[c.cursor[v]] = int32(u)
+			c.cursor[v]++
+		}
+	}
+}
+
+// buildUnordered fills the sender-major view from a log in any order,
+// with duplicates: count, prefix, scatter, then sort each row if needed
+// and dedup, compacting in place. It returns the distinct link count.
+func (e *EdgeSet) buildUnordered() int {
+	c := e.csr
+	n := e.n
 	for _, p := range c.pairs {
 		c.outStart[(p>>32)+1]++
 	}
-	for u := 0; u < n; u++ {
-		c.outStart[u+1] += c.outStart[u]
-	}
+	prefixSum(c.outStart)
 	copy(c.cursor, c.outStart[:n])
 	c.outList = growInt32(c.outList, len(c.pairs))
 	for _, p := range c.pairs {
@@ -149,9 +216,8 @@ func (e *EdgeSet) build() {
 		c.cursor[u]++
 	}
 
-	// Sort each row if needed and dedup, compacting in place. The write
-	// cursor never passes the read position within a row (w ≤ row start),
-	// so the compaction is safe.
+	// The write cursor never passes the read position within a row
+	// (w ≤ row start), so the compaction is safe.
 	w := int32(0)
 	for u := 0; u < n; u++ {
 		lo, hi := c.outStart[u], c.outStart[u+1]
@@ -170,42 +236,65 @@ func (e *EdgeSet) build() {
 		}
 	}
 	c.outStart[n] = w
-	m := int(w)
+	c.outList = c.outList[:w]
+	return int(w)
+}
 
-	// Receiver-major transpose: senders land in ascending order because
-	// the scatter walks senders in ascending order.
-	clear(c.inStart)
-	for _, v := range c.outList[:m] {
-		c.inStart[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		c.inStart[v+1] += c.inStart[v]
-	}
-	copy(c.cursor, c.inStart[:n])
-	c.inList = growInt32(c.inList, m)
-	for u := 0; u < n; u++ {
-		for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
-			c.inList[c.cursor[v]] = int32(u)
-			c.cursor[v]++
-		}
+// prefixSum turns per-row counts stored at [1:] into n+1 offsets.
+func prefixSum(starts []int32) {
+	for i := 1; i < len(starts); i++ {
+		starts[i] += starts[i-1]
 	}
 }
 
-// sparseReset clears the log, keeping storage. The log slice is resized
-// with 50% headroom over the all-time edge high-water mark, so a
-// steady-state engine round that later sees a record edge count still
-// appends without growing — the zero-alloc round budget depends on it.
+// sparseReset clears the log, keeping storage. It reallocates only when
+// the log's capacity is under the all-time edge high-water mark plus a
+// 1/16 margin, and then with reserve's 50% headroom, so a steady-state
+// engine round that later sees a record edge count still appends
+// without growing — the zero-alloc round budget depends on it.
 func (e *EdgeSet) sparseReset() {
 	c := e.csr
 	if len(c.pairs) > c.maxPairs {
 		c.maxPairs = len(c.pairs)
 	}
-	if want := c.maxPairs + c.maxPairs/2; cap(c.pairs) < want {
-		c.pairs = make([]uint64, 0, want)
-	} else {
-		c.pairs = c.pairs[:0]
-	}
+	c.pairs = c.pairs[:0]
+	c.reserve(c.maxPairs + c.maxPairs/16)
+	c.ordered = true
 	c.dirty = true
+}
+
+// sparseRetain is Retain in sparse mode. An ordered log is filtered in
+// place, with no build. Any other log is built once and rewritten from
+// the sender-major view, so it comes out ordered; it fits in the log's
+// own storage because the view holds at most as many links as the log.
+func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
+	c := e.csr
+	if !c.ordered {
+		e.build()
+		m := int(c.outStart[e.n])
+		c.pairs = c.pairs[:0]
+		for u := 0; u < e.n; u++ {
+			for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
+				if keep(u, int(v)) {
+					c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
+				}
+			}
+		}
+		c.ordered = true
+		c.dirty = len(c.pairs) != m
+		return
+	}
+	w := 0
+	for _, p := range c.pairs {
+		if keep(int(p>>32), int(uint32(p))) {
+			c.pairs[w] = p
+			w++
+		}
+	}
+	if w != len(c.pairs) {
+		c.pairs = c.pairs[:w]
+		c.dirty = true
+	}
 }
 
 // sparseHas binary-searches u's out row.
@@ -242,10 +331,12 @@ func (e *EdgeSet) sparseRemove(u, v int) {
 	}
 }
 
-// sparseLogFromDense rebuilds the log from a dense set's bit rows.
+// sparseLogFromDense rebuilds the log from a dense set's bit rows, in
+// ascending order.
 func (e *EdgeSet) sparseLogFromDense(other *EdgeSet) {
 	c := e.csr
 	c.pairs = c.pairs[:0]
+	c.ordered = true
 	for u := 0; u < other.n; u++ {
 		base := u * other.words
 		for w := 0; w < other.words; w++ {

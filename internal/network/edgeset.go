@@ -62,8 +62,7 @@ func (e *EdgeSet) Add(u, v int) {
 		return
 	}
 	if c := e.csr; c != nil {
-		c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
-		c.dirty = true
+		c.push(uint64(u)<<32 | uint64(uint32(v)))
 		return
 	}
 	e.out[u*e.words+v/wordBits] |= 1 << (uint(v) % wordBits)
@@ -77,8 +76,7 @@ func (e *EdgeSet) Add(u, v int) {
 // edge is measurable at sparse-bench scale. Everyone else wants Add.
 func (e *EdgeSet) AddUnchecked(u, v int) {
 	if c := e.csr; c != nil {
-		c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
-		c.dirty = true
+		c.push(uint64(u)<<32 | uint64(uint32(v)))
 		return
 	}
 	e.out[u*e.words+v/wordBits] |= 1 << (uint(v) % wordBits)
@@ -241,6 +239,44 @@ func (e *EdgeSet) Len() int {
 // false stops the walk. The set must not be mutated during the walk.
 func (e *EdgeSet) ForEachEdge(fn func(u, v int) bool) { e.forEachEdge(fn) }
 
+// Retain keeps exactly the links for which keep returns true. keep is
+// called once per link, in ForEachEdge order, so a filter that folds
+// the walk into randomized decisions draws identically in either
+// representation. It filters in place: a dense set clears bits, an
+// ordered sparse log (see csrState) compacts without a build, and any
+// other sparse log is built once and rewritten in canonical order.
+// keep must not mutate the set.
+func (e *EdgeSet) Retain(keep func(u, v int) bool) {
+	if e.csr != nil {
+		e.sparseRetain(keep)
+		return
+	}
+	for u := 0; u < e.n; u++ {
+		base := u * e.words
+		for w := 0; w < e.words; w++ {
+			bits := e.out[base+w]
+			for bits != 0 {
+				v := w*wordBits + trailingZeros(bits)
+				bits &= bits - 1
+				if !keep(u, v) {
+					e.out[base+w] &^= 1 << (uint(v) % wordBits)
+					e.in[v*e.words+u/wordBits] &^= 1 << (uint(u) % wordBits)
+				}
+			}
+		}
+	}
+}
+
+// Reserve makes room for links more Add calls without growing storage:
+// bulk generators that know their expected edge count call it before
+// drawing, so a sparse log is sized once instead of growing through a
+// chain of append copies. A no-op in dense mode, whose storage is fixed.
+func (e *EdgeSet) Reserve(links int) {
+	if e.csr != nil {
+		e.csr.reserve(links)
+	}
+}
+
 // Clone returns a deep copy in the same representation.
 func (e *EdgeSet) Clone() *EdgeSet {
 	var c *EdgeSet
@@ -275,6 +311,7 @@ func (e *EdgeSet) CopyFrom(other *EdgeSet) {
 	switch {
 	case e.csr != nil && other.csr != nil:
 		e.csr.pairs = append(e.csr.pairs[:0], other.csr.pairs...)
+		e.csr.ordered = other.csr.ordered
 		e.csr.dirty = true
 	case e.csr != nil:
 		e.sparseLogFromDense(other)
@@ -328,9 +365,13 @@ func (e *EdgeSet) UnionWith(other *EdgeSet) {
 	}
 	switch {
 	case e.csr != nil && other.csr != nil:
-		// The log admits duplicates (build dedups), so a union is an append.
-		e.csr.pairs = append(e.csr.pairs, other.csr.pairs...)
-		e.csr.dirty = true
+		// The log admits duplicates (build dedups), so a union is an
+		// append; it stays ordered only if other's log starts past e's.
+		c, o := e.csr, other.csr
+		c.ordered = c.ordered && o.ordered &&
+			(len(c.pairs) == 0 || len(o.pairs) == 0 || o.pairs[0] > c.pairs[len(c.pairs)-1])
+		c.pairs = append(c.pairs, o.pairs...)
+		c.dirty = true
 	case e.csr != nil || other.csr != nil:
 		other.forEachEdge(func(u, v int) bool {
 			e.AddUnchecked(u, v)
@@ -352,32 +393,8 @@ func (e *EdgeSet) IntersectWith(other *EdgeSet) {
 		panic(fmt.Sprintf("network: intersection of mismatched sizes %d and %d", e.n, other.n))
 	}
 	switch {
-	case e.csr != nil:
-		// Filter the log through other's membership; dedup happens at build.
-		c := e.csr
-		w := 0
-		for _, p := range c.pairs {
-			if other.Has(int(p>>32), int(uint32(p))) {
-				c.pairs[w] = p
-				w++
-			}
-		}
-		c.pairs = c.pairs[:w]
-		c.dirty = true
-	case other.csr != nil:
-		for u := 0; u < e.n; u++ {
-			base := u * e.words
-			for w := 0; w < e.words; w++ {
-				bits := e.out[base+w]
-				for bits != 0 {
-					v := w*wordBits + trailingZeros(bits)
-					bits &= bits - 1
-					if !other.Has(u, v) {
-						e.Remove(u, v)
-					}
-				}
-			}
-		}
+	case e.csr != nil || other.csr != nil:
+		e.Retain(other.Has)
 	default:
 		for i, w := range other.out {
 			e.out[i] &= w
