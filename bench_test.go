@@ -351,13 +351,19 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // decision at n=65537 would add minutes without changing the metric.
 // The /par rows shard the receiver loop across GOMAXPROCS workers
 // (equal to the sequential rows on a single-core runner; their ratio
-// on multi-core CI is the parallel speedup).
+// on multi-core CI is the parallel speedup). The n=4097/p=0.12/crash
+// row is the high-in-degree shape DAC's ⌊n/2⌋ dynaDegree condition
+// produces (about 490 in-links per node, as on a chaos storm fleet)
+// with about 1% of the nodes crashing in the first rounds: the only
+// row above the engine's push gate, so the only one that exercises
+// the sender-major push round and its in-sweep lost count.
 func engineRoundCases() []struct {
 	name      string
 	n         int
 	maxRounds int // 0: run to decision
 	workers   int // Scenario.RoundWorkers
 	adv       func() anondyn.Adversary
+	crashes   map[int]anondyn.Crash
 } {
 	complete := func() anondyn.Adversary { return anondyn.Complete() }
 	er2 := func(n int) func() anondyn.Adversary {
@@ -370,24 +376,46 @@ func engineRoundCases() []struct {
 		maxRounds int
 		workers   int
 		adv       func() anondyn.Adversary
+		crashes   map[int]anondyn.Crash
 	}{
-		{"n=7", 7, 0, 0, complete},
-		{"n=25", 25, 0, 0, complete},
-		{"n=51", 51, 0, 0, complete},
-		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
-		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
-		{"n=51/d=4", 51, 0, 0, d4},
-		{"n=1025/p=8n", 1025, 0, 0, er2(1025)},
-		{"n=1025/d=4", 1025, 0, 0, d4},
-		{"n=4097/p=8n", 4097, 0, 0, er2(4097)},
-		{"n=4097/d=4", 4097, 0, 0, d4},
-		{"n=16385/p=8n", 16385, 256, 0, er2(16385)},
-		{"n=16385/d=4", 16385, 256, 0, d4},
-		{"n=16385/p=8n/par", 16385, 256, -1, er2(16385)},
-		{"n=65537/p=8n", 65537, 128, 0, er2(65537)},
-		{"n=65537/d=4", 65537, 128, 0, d4},
-		{"n=65537/p=8n/par", 65537, 128, -1, er2(65537)},
+		{"n=7", 7, 0, 0, complete, nil},
+		{"n=25", 25, 0, 0, complete, nil},
+		{"n=51", 51, 0, 0, complete, nil},
+		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }, nil},
+		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }, nil},
+		{"n=51/d=4", 51, 0, 0, d4, nil},
+		{"n=1025/p=8n", 1025, 0, 0, er2(1025), nil},
+		{"n=1025/d=4", 1025, 0, 0, d4, nil},
+		{"n=4097/p=8n", 4097, 0, 0, er2(4097), nil},
+		{"n=4097/d=4", 4097, 0, 0, d4, nil},
+		{"n=16385/p=8n", 16385, 256, 0, er2(16385), nil},
+		{"n=16385/d=4", 16385, 256, 0, d4, nil},
+		{"n=16385/p=8n/par", 16385, 256, -1, er2(16385), nil},
+		{"n=65537/p=8n", 65537, 128, 0, er2(65537), nil},
+		{"n=65537/d=4", 65537, 128, 0, d4, nil},
+		{"n=65537/p=8n/par", 65537, 128, -1, er2(65537), nil},
+		{"n=4097/p=0.12/crash", 4097, 24, 0,
+			func() anondyn.Adversary { return anondyn.SparseProbabilistic(0.12, 1) }, spreadCrashes(4097)},
 	}
+}
+
+// spreadCrashes schedules about 1% of n nodes to crash in rounds 1–3,
+// spread over the ID space: most cleanly, an eighth silently and an
+// eighth with a final broadcast that reaches only two receivers.
+func spreadCrashes(n int) map[int]anondyn.Crash {
+	crashes := make(map[int]anondyn.Crash)
+	for i := 0; i < n/100; i++ {
+		node := (i*7919 + 13) % n
+		c := anondyn.Crash{Round: 1 + i%3}
+		switch i % 8 {
+		case 0:
+			c.DeliverTo = []int{}
+		case 1:
+			c.DeliverTo = []int{(node + 1) % n, (node + 2) % n}
+		}
+		crashes[node] = c
+	}
+	return crashes
 }
 
 // BenchmarkEngineRound measures simulator round throughput: one full
@@ -401,10 +429,11 @@ func BenchmarkEngineRound(b *testing.B) {
 			rounds, edges := 0, 0
 			for i := 0; i < b.N; i++ {
 				res, err := anondyn.Scenario{
-					N: c.n, F: 0, Eps: 1e-3,
+					N: c.n, F: len(c.crashes), Eps: 1e-3,
 					Algorithm:    anondyn.AlgoDAC,
 					Inputs:       anondyn.SpreadInputs(c.n),
 					Adversary:    c.adv(),
+					Crashes:      c.crashes,
 					MaxRounds:    c.maxRounds,
 					RoundWorkers: c.workers,
 				}.Run()

@@ -160,6 +160,7 @@ type RandomDegree struct {
 
 	blockIdx int
 	schedule []*network.EdgeSet // the guaranteed links of the current block
+	perm     []int              // per-receiver shuffle scratch, reused across blocks
 }
 
 // NewRandomDegree builds the adversary. block ≥ 1 is the guarantee block
@@ -219,9 +220,11 @@ func (r *RandomDegree) EdgesInto(t int, view View, dst *network.EdgeSet) {
 func (r *RandomDegree) Oblivious() bool { return true }
 
 // Reseed implements Reseeder: the next Edges call behaves exactly like
-// the first call of a fresh instance built with this seed.
+// the first call of a fresh instance built with this seed. Re-seeding
+// the existing generator yields the identical stream without a fresh
+// ~5 KB source per run.
 func (r *RandomDegree) Reseed(seed int64) {
-	r.rng = rand.New(rand.NewSource(seed))
+	r.rng.Seed(seed)
 	r.blockIdx = -1
 }
 
@@ -240,10 +243,20 @@ func (r *RandomDegree) buildBlock(b, n, d int) {
 			s.Reset()
 		}
 	}
+	if cap(r.perm) < n {
+		r.perm = make([]int, n)
+	}
+	perm := r.perm[:n]
 	for v := 0; v < n; v++ {
 		// d distinct in-neighbors for v, each scheduled in a random round
-		// of the block.
-		perm := r.rng.Perm(n)
+		// of the block. The shuffle is rand.Perm's inside-out one, drawn
+		// into the reused buffer: same draws, same permutation, no
+		// n-word allocation per receiver.
+		for i := 0; i < n; i++ {
+			j := r.rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		picked := 0
 		for _, u := range perm {
 			if u == v {

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -172,6 +173,97 @@ func TestRandomDegreeDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("round %d differs across same-seed instances", r)
 		}
 	}
+}
+
+// TestRandomDegreeBlockMatchesPermReference pins the guaranteed-link
+// schedule, block after block and across a Reseed, against the
+// original construction that drew a fresh rand.Perm(n) per receiver:
+// the reused shuffle buffer must consume the same draws and pick the
+// same in-neighbors. extra=0 keeps every round's graph the schedule.
+func TestRandomDegreeBlockMatchesPermReference(t *testing.T) {
+	const block, d, n, seed = 3, 5, 70, 42
+	reference := func(rng *rand.Rand) []*network.EdgeSet {
+		sched := make([]*network.EdgeSet, block)
+		for i := range sched {
+			sched[i] = network.NewEdgeSet(n)
+		}
+		for v := 0; v < n; v++ {
+			picked := 0
+			for _, u := range rng.Perm(n) {
+				if u == v {
+					continue
+				}
+				sched[rng.Intn(block)].Add(u, v)
+				picked++
+				if picked == d {
+					break
+				}
+			}
+		}
+		return sched
+	}
+	a, err := NewRandomDegree(block, d, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		rng := rand.New(rand.NewSource(seed))
+		for b := 0; b < 3; b++ {
+			want := reference(rng)
+			for i := 0; i < block; i++ {
+				if got := a.Edges(b*block+i, SizeView(n)); !got.Equal(want[i]) {
+					t.Fatalf("pass %d block %d round %d: schedule differs from the rand.Perm reference", pass, b, i)
+				}
+			}
+		}
+		a.Reseed(seed)
+	}
+}
+
+// TestRandomDegreeReseedZeroAlloc: once warmed, a Reseed followed by a
+// block rebuild allocates nothing — neither a fresh RNG source nor a
+// per-receiver permutation.
+func TestRandomDegreeReseedZeroAlloc(t *testing.T) {
+	const n = 70
+	a, err := NewRandomDegree(2, 4, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := network.NewEdgeSet(n)
+	view := SizeView(n)
+	run := func() {
+		a.Reseed(9)
+		a.EdgesInto(0, view, dst)
+		a.EdgesInto(1, view, dst)
+		a.EdgesInto(2, view, dst) // second block: another rebuild
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("Reseed + block rebuild allocated %g times, want 0", avg)
+	}
+	for _, r := range []Reseeder{mustProbabilistic(t), mustSparse(t)} {
+		if avg := testing.AllocsPerRun(20, func() { r.Reseed(3) }); avg != 0 {
+			t.Errorf("%T.Reseed allocated %g times, want 0", r, avg)
+		}
+	}
+}
+
+func mustProbabilistic(t *testing.T) *Probabilistic {
+	t.Helper()
+	a, err := NewProbabilistic(0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func mustSparse(t *testing.T) *SparseProbabilistic {
+	t.Helper()
+	a, err := NewSparseProbabilistic(0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestRandomDegreeValidation(t *testing.T) {

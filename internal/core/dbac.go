@@ -22,7 +22,7 @@ type DBAC struct {
 	v float64
 	p int
 
-	r    []bool // r[port] — port already counted for the current phase
+	r    []uint64 // R as a bitset, like DAC's: bit port set — port already counted this phase
 	nr   int
 	low  boundedLow  // f+1 smallest received values this phase
 	high boundedHigh // f+1 largest received values this phase
@@ -81,7 +81,7 @@ func newDBACWithPEnd(n, f, selfPort int, input float64, pEnd int) (*DBAC, error)
 		pEnd:     pEnd,
 		quorum:   ByzQuorum(n, f),
 		v:        input,
-		r:        make([]bool, n),
+		r:        make([]uint64, (n+63)/64),
 		low:      newBoundedLow(f + 1),
 		high:     newBoundedHigh(f + 1),
 		selfPort: selfPort,
@@ -89,7 +89,7 @@ func newDBACWithPEnd(n, f, selfPort int, input float64, pEnd int) (*DBAC, error)
 	// Reliable self-delivery: the node's own state is always among the
 	// values it counts (R[i]=1) and collects (see DESIGN.md §2 on the
 	// pseudo-code clarification).
-	d.r[selfPort] = true
+	d.r[selfPort>>6] = 1 << (uint(selfPort) & 63)
 	d.nr = 1
 	d.low.add(input)
 	d.high.add(input)
@@ -103,8 +103,8 @@ func (d *DBAC) Broadcast() Message { return Message{Value: d.v, Phase: d.p} }
 // Deliver implements Process (Algorithm 2 lines 4–11).
 func (d *DBAC) Deliver(dl Delivery) {
 	m := dl.Msg
-	if m.Phase >= d.p && !d.r[dl.Port] {
-		d.r[dl.Port] = true
+	if m.Phase >= d.p && !d.counted(dl.Port) {
+		d.r[dl.Port>>6] |= 1 << (uint(dl.Port) & 63)
 		d.nr++
 		d.low.add(m.Value)
 		d.high.add(m.Value)
@@ -175,10 +175,8 @@ func NewDBACCustom(n, f, selfPort, pEnd, quorum int, input float64) (*DBAC, erro
 func (d *DBAC) Reinit(input float64) {
 	d.v = input
 	d.p = 0
-	for i := range d.r {
-		d.r[i] = false
-	}
-	d.r[d.selfPort] = true
+	clear(d.r)
+	d.r[d.selfPort>>6] = 1 << (uint(d.selfPort) & 63)
 	d.nr = 1
 	d.low.clear()
 	d.high.clear()
@@ -192,15 +190,18 @@ func (d *DBAC) Reinit(input float64) {
 
 // reset is RESET() of Algorithm 2, plus the self-delivery store.
 func (d *DBAC) reset() {
-	for i := range d.r {
-		d.r[i] = false
-	}
-	d.r[d.selfPort] = true
+	clear(d.r)
+	d.r[d.selfPort>>6] = 1 << (uint(d.selfPort) & 63)
 	d.nr = 1
 	d.low.clear()
 	d.high.clear()
 	d.low.add(d.v)
 	d.high.add(d.v)
+}
+
+// counted reports whether port is already in R this phase.
+func (d *DBAC) counted(port int) bool {
+	return d.r[port>>6]&(1<<(uint(port)&63)) != 0
 }
 
 func (d *DBAC) maybeDecide() {

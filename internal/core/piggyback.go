@@ -109,10 +109,10 @@ func (pb *DBACPiggyback) Deliver(dl Delivery) {
 		pb.forward(dl)
 		return
 	}
-	if m.Phase == p || pb.inner.r[dl.Port] {
+	if m.Phase == p || pb.inner.counted(dl.Port) {
 		// Current value already has the receiver's phase, or the port is
 		// already counted — plain DBAC handles both cases correctly.
-		if m.Phase == p && !pb.inner.r[dl.Port] {
+		if m.Phase == p && !pb.inner.counted(dl.Port) {
 			pb.exact++
 		}
 		pb.forward(dl)

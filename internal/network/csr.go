@@ -142,6 +142,30 @@ func (e *EdgeSet) OutList(u int) []int32 {
 	return c.outList[c.outStart[u]:c.outStart[u+1]:c.outStart[u+1]]
 }
 
+// OrderedLog exposes an ordered sparse log for sender-major walks that
+// need no CSR view: pairs is the log itself — u<<32|v per link, strictly
+// ascending, so each sender's receivers form one ascending run — and
+// starts[u] (caller-owned, length ≥ n) is filled with the index of u's
+// first link, or of the first link of the next sender when u has none.
+// ok is false, and starts untouched, for a dense set or a log that is
+// not ordered. Nothing is built; the starts cost O(n log links) binary
+// searches. pairs aliases internal storage, is valid until the next
+// mutation and must be treated as read-only.
+func (e *EdgeSet) OrderedLog(starts []int32) (pairs []uint64, ok bool) {
+	c := e.csr
+	if c == nil || !c.ordered {
+		return nil, false
+	}
+	pairs = c.pairs
+	lo := 0
+	for u := 0; u < e.n; u++ {
+		i, _ := slices.BinarySearch(pairs[lo:], uint64(u)<<32)
+		lo += i
+		starts[u] = int32(lo)
+	}
+	return pairs, true
+}
+
 func (e *EdgeSet) mustSparse(method string) *csrState {
 	if e.csr == nil {
 		panic("network: " + method + " on a dense EdgeSet")

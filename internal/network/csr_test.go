@@ -124,8 +124,8 @@ func assertSame(t *testing.T, dense, sparse *EdgeSet, rng *rand.Rand) {
 		if !equalInts(dense.OutNeighbors(v), sparse.OutNeighbors(v)) {
 			t.Errorf("OutNeighbors(%d) differ", v)
 		}
-		if dm, sm := dense.OutMissing(v, mask), sparse.OutMissing(v, mask); dm != sm {
-			t.Errorf("OutMissing(%d): dense %d, sparse %d", v, dm, sm)
+		if dh, sh := dense.OutHits(v, mask), sparse.OutHits(v, mask); dh != sh {
+			t.Errorf("OutHits(%d): dense %d, sparse %d", v, dh, sh)
 		}
 		clear(accD)
 		clear(accS)
@@ -444,5 +444,64 @@ func TestOrderedFlagTransitions(t *testing.T) {
 	}
 	if got := s.Edges(); len(got) != 1 || got[0] != [2]int{3, 2} {
 		t.Errorf("Retain kept %v, want [[3 2]]", got)
+	}
+}
+
+// TestOrderedLogLenWithoutBuild pins the two read paths that must not
+// build CSR views on an ordered log: Len counts the log (an ordered log
+// has no duplicates) and OrderedLog hands out the log with per-sender
+// starts. Both must agree with the built views, and an unordered log
+// must fall back (Len deduplicates, OrderedLog refuses).
+func TestOrderedLogLenWithoutBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{1, 5, 64, 65, 200} {
+		s := NewEdgeSetSparse(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Intn(4) == 0 {
+					s.AddUnchecked(u, v)
+				}
+			}
+		}
+		links := len(s.csr.pairs)
+		if got := s.Len(); got != links {
+			t.Fatalf("n=%d: Len = %d, want %d", n, got, links)
+		}
+		if !s.csr.dirty {
+			t.Fatalf("n=%d: Len on an ordered log ran a build", n)
+		}
+		starts := make([]int32, n)
+		pairs, ok := s.OrderedLog(starts)
+		if !ok || len(pairs) != links {
+			t.Fatalf("n=%d: OrderedLog ok=%v with %d pairs, want %d", n, ok, len(pairs), links)
+		}
+		if !s.csr.dirty {
+			t.Fatalf("n=%d: OrderedLog ran a build", n)
+		}
+		outStarts, outIDs := s.OutCSR()
+		for u := 0; u < n; u++ {
+			if starts[u] != outStarts[u] {
+				t.Fatalf("n=%d: starts[%d] = %d, out-CSR row starts at %d", n, u, starts[u], outStarts[u])
+			}
+		}
+		for i, p := range pairs {
+			if int32(uint32(p)) != outIDs[i] {
+				t.Fatalf("n=%d: log entry %d is %d, out-CSR has %d", n, i, uint32(p), outIDs[i])
+			}
+		}
+	}
+
+	s := NewEdgeSetSparse(4)
+	s.Add(2, 1)
+	s.Add(0, 3)
+	s.Add(2, 1)
+	if _, ok := s.OrderedLog(make([]int32, 4)); ok {
+		t.Error("OrderedLog accepted an unordered log")
+	}
+	if got := s.Len(); got != 2 {
+		t.Errorf("Len on an unordered log with a duplicate = %d, want 2", got)
+	}
+	if _, ok := NewEdgeSet(4).OrderedLog(make([]int32, 4)); ok {
+		t.Error("OrderedLog accepted a dense set")
 	}
 }

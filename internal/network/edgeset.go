@@ -47,7 +47,7 @@ func NewEdgeSet(n int) *EdgeSet {
 
 // MaskWords returns the number of 64-bit words a node bitmap over n
 // nodes occupies — the length callers must size mask arguments
-// (OutMissing) to.
+// (OutHits) to.
 func MaskWords(n int) int { return (n + wordBits - 1) / wordBits }
 
 // N returns the number of nodes.
@@ -188,40 +188,39 @@ func (e *EdgeSet) OutDegree(u int) int {
 	return d
 }
 
-// OutMissing counts the nodes in mask (a bitmap of MaskWords(n) words)
-// that u has NO link towards — the word-wise core of the engines'
-// suppressed-message accounting. The caller is responsible for masking
-// out u itself when u is in mask: (u, u) is never a link, so it always
-// counts as missing here.
-func (e *EdgeSet) OutMissing(u int, mask []uint64) int {
+// OutHits counts u's out-neighbors that are in mask (a bitmap of
+// MaskWords(n) words) — the word-wise core of the engines'
+// suppressed-message accounting, which popcounts the eligible-receiver
+// mask once per round and subtracts each sender's hits. Dense mode
+// popcounts u's out-row against the mask, O(n/64); sparse mode probes
+// the mask once per link of u's CSR row, O(out-degree).
+func (e *EdgeSet) OutHits(u int, mask []uint64) int {
 	e.check(u)
 	if len(mask) != e.words {
 		panic(fmt.Sprintf("network: mask of %d words for %d-node set (want %d)", len(mask), e.n, e.words))
 	}
+	hits := 0
 	if e.csr != nil {
-		// Nodes in the mask minus the out-neighbors that are in the mask.
-		miss := 0
-		for _, w := range mask {
-			miss += popCount(w)
-		}
 		for _, v := range e.OutList(u) {
-			if mask[int(v)/wordBits]&(1<<(uint(v)%wordBits)) != 0 {
-				miss--
-			}
+			hits += int(mask[int(v)/wordBits] >> (uint(v) % wordBits) & 1)
 		}
-		return miss
+		return hits
 	}
 	base := u * e.words
-	miss := 0
 	for w := 0; w < e.words; w++ {
-		miss += popCount(mask[w] &^ e.out[base+w])
+		hits += popCount(mask[w] & e.out[base+w])
 	}
-	return miss
+	return hits
 }
 
-// Len returns the total number of directed links.
+// Len returns the total number of directed links. An ordered sparse
+// log holds no duplicates, so its length is the count and nothing is
+// built; any other sparse log is built once to deduplicate.
 func (e *EdgeSet) Len() int {
-	if e.csr != nil {
+	if c := e.csr; c != nil {
+		if c.ordered {
+			return len(c.pairs)
+		}
 		e.build()
 		return int(e.csr.outStart[e.n])
 	}

@@ -102,9 +102,9 @@ func TestInNeighborsIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestOutMissing checks the word-wise suppressed-message core against a
-// brute-force count, including the caller-handled self-bit convention.
-func TestOutMissing(t *testing.T) {
+// TestOutHits checks the word-wise suppressed-message core against a
+// brute-force count of u's links into the mask.
+func TestOutHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 5, 64, 65, 100} {
 		e := NewEdgeSet(n)
@@ -122,23 +122,23 @@ func TestOutMissing(t *testing.T) {
 		for u := 0; u < n; u++ {
 			want := 0
 			for v := 0; v < n; v++ {
-				if inMask[v] && !e.Has(u, v) {
+				if inMask[v] && e.Has(u, v) {
 					want++
 				}
 			}
-			if got := e.OutMissing(u, mask); got != want {
-				t.Fatalf("n=%d: OutMissing(%d) = %d, want %d", n, u, got, want)
+			if got := e.OutHits(u, mask); got != want {
+				t.Fatalf("n=%d: OutHits(%d) = %d, want %d", n, u, got, want)
 			}
 		}
 	}
 }
 
-func TestOutMissingRejectsWrongMaskLength(t *testing.T) {
+func TestOutHitsRejectsWrongMaskLength(t *testing.T) {
 	e := NewEdgeSet(65)
 	defer func() {
 		if recover() == nil {
 			t.Error("short mask must panic")
 		}
 	}()
-	e.OutMissing(0, make([]uint64, 1))
+	e.OutHits(0, make([]uint64, 1))
 }

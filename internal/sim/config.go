@@ -4,6 +4,24 @@
 // receiver tagged with its local port. One deterministic engine runs
 // it; Config.RoundWorkers can shard each round's receiver loop across a
 // worker pool without changing any result.
+//
+// Each round's delivery takes one of four shapes, chosen per round in
+// Engine.Step in this order; all of them give every receiver the same
+// deliveries in the same ascending-port order and the same Result:
+//
+//	round          selected when                                   reads
+//	parallelRound  RoundWorkers resolves to > 1, no Observer or     in-CSR rows or dense in-rows,
+//	               Recorder                                         one receiver range per worker
+//	pushRound      sequential; no Byzantine node, no link cap or    the ordered sparse edge log,
+//	               bandwidth accounting, identity ports, no         sender-major in receiver
+//	               shuffle, no Observer or Recorder (crashes are    blocks; no CSR view is built
+//	               fine); ordered sparse log; mean in-degree
+//	               ≥ pushMinDegree·⌈n/pushBlock⌉
+//	scatterRound   sequential; no fault of any kind, no bandwidth   both CSR views, scattered into
+//	               accounting, identity ports, no shuffle, no       one flat delivery buffer
+//	               Observer or Recorder; sparse; ≤ 2¹⁸ edges
+//	deliverRange   everything else                                  in-CSR rows or dense in-rows,
+//	                                                                one receiver at a time
 package sim
 
 import (

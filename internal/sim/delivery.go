@@ -46,17 +46,21 @@ func sortDeliveriesByPort(ds []core.Delivery) {
 
 // countLost computes one round's adversary-suppressed message count
 // word-wise: first a bitmap of the receivers able to receive in round t
-// (not Byzantine, fully alive through the round), then, per alive
-// sender, a popcount of the mask bits its out-row does not cover. This
-// replaces the former O(n²) Has-probe fallback for faulted
-// configurations; mask must be MaskWords(n) words and is overwritten.
+// (not Byzantine, fully alive through the round) and its popcount, then,
+// per alive sender, that count minus the mask bits its out-row covers
+// (OutHits: O(out-degree) on CSR, O(n/64) dense). The mask is counted
+// once per round, not once per sender, so a CSR round costs
+// O(n + edges) rather than O(n²/64). mask must be MaskWords(n) words
+// and is overwritten.
 func countLost(t, n int, isByz []bool, crashRound []int, edges *network.EdgeSet, mask []uint64) int {
 	clear(mask)
+	eligible := 0
 	for v := 0; v < n; v++ {
 		if isByz[v] || t >= crashRound[v] {
 			continue
 		}
 		mask[v/64] |= 1 << (uint(v) % 64)
+		eligible++
 	}
 	lost := 0
 	for u := 0; u < n; u++ {
@@ -65,7 +69,7 @@ func countLost(t, n int, isByz []bool, crashRound []int, edges *network.EdgeSet,
 		if !isByz[u] && t > crashRound[u] {
 			continue
 		}
-		miss := edges.OutMissing(u, mask)
+		miss := eligible - edges.OutHits(u, mask)
 		if mask[u/64]&(1<<(uint(u)%64)) != 0 {
 			miss-- // (u, u) is never a link; u "missing" itself is no loss
 		}

@@ -23,6 +23,7 @@ import (
 // gather, eager per-round view refresh, word-wise lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var push pushCoverage
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -43,7 +44,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		wwCfg.Hooks.Recorder = wwRec
 		// Half the trials force the CSR scratch: the sparse gather paths
 		// (InList fast branch, CSR-backed InNeighborsInto, sparse
-		// OutMissing lost count) must match the reference byte-for-byte
+		// OutHits lost count) must match the reference byte-for-byte
 		// in the faulted/ported/shuffled regime too. The Recorder keeps
 		// these runs sequential, so the parallel loop is pinned by the
 		// bare pair below.
@@ -95,6 +96,101 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
 			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
 		bareWWEng.Close()
+
+		// Fourth run: the same draw scrubbed to the push shape (crashes
+		// kept, everything pushRound excludes removed) on forced CSR, with
+		// the in-degree gate bypassed and a random receiver block width,
+		// against the reference on the identical configuration.
+		pushRef, pushCfg := pushShaped(t, cfg()), pushShaped(t, cfg())
+		pushRefEng, err := NewEngine(pushRef)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		pushRefEng.referenceRound = true
+		pushEng, err := NewEngine(pushCfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		pushEng.pushForce = pushBlockDraw(rng, n)
+		rr, pw := pushRefEng.RunRounds(25), pushEng.RunRounds(25)
+		assertEqualResults(t, rr, pw, "trial %d (n=%d, seed=%d, block=%d) push pair",
+			trial, n, seed, pushEng.pushForce)
+		push.note(pushEng, pushCfg)
+	}
+	push.check(t)
+}
+
+// pushShaped scrubs a randomDeliveryConfig draw down to the shape
+// pushRound accepts: Byzantine nodes become plain DAC nodes, and random
+// ports, shuffling, caps and bandwidth accounting go. Crash schedules
+// (clean, silent and partial) and the adversary stay; the scratch is
+// forced into CSR so the ordered-log adversaries reach the push path.
+func pushShaped(t *testing.T, cfg Config) Config {
+	t.Helper()
+	for i := range cfg.Byzantine {
+		d, err := core.NewDACPhases(cfg.N, i, 1<<20, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Procs[i] = d
+	}
+	cfg.Byzantine = nil
+	cfg.F = len(cfg.Crashes)
+	cfg.Ports = nil
+	cfg.ShuffleDelivery = false
+	cfg.MaxMessageBytes = 0
+	cfg.AccountBandwidth = false
+	cfg.ForceCSR = true
+	return cfg
+}
+
+func mustSparseProbabilistic(t *testing.T, p float64, seed int64) adversary.Adversary {
+	t.Helper()
+	a, err := adversary.NewSparseProbabilistic(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// pushBlockDraw picks a receiver block width for a forced push run:
+// mostly narrower than n, so the per-sender cursors must carry rows
+// across block boundaries, sometimes the whole range in one block.
+func pushBlockDraw(rng *rand.Rand, n int) int {
+	return []int{1, 2, 5, 16, 64, n}[rng.Intn(6)]
+}
+
+// pushCoverage tallies what the forced push runs exercised, so the
+// equivalence properties fail loudly if a change to the gate or the
+// scrubbing ever stops them reaching pushRound.
+type pushCoverage struct {
+	rounds      int // push rounds in total
+	multiBlock  int // push rounds split into more than one block
+	crashRounds int // push rounds in runs with a crash schedule
+	partial     int // push rounds in runs with a partial or silent crash
+}
+
+func (c *pushCoverage) note(e *Engine, cfg Config) {
+	c.rounds += e.pushRounds
+	if e.pushForce < cfg.N {
+		c.multiBlock += e.pushRounds
+	}
+	if len(cfg.Crashes) > 0 {
+		c.crashRounds += e.pushRounds
+	}
+	for _, cr := range cfg.Crashes {
+		if cr.DeliverTo != nil {
+			c.partial += e.pushRounds
+			break
+		}
+	}
+}
+
+func (c *pushCoverage) check(t *testing.T) {
+	t.Helper()
+	t.Logf("push coverage: %+v", *c)
+	if c.rounds == 0 || c.multiBlock == 0 || c.crashRounds == 0 || c.partial == 0 {
+		t.Fatalf("push path under-covered: %+v", *c)
 	}
 }
 
@@ -297,7 +393,8 @@ func TestEnginePortsRecycledAcrossReset(t *testing.T) {
 func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var refEng, wwEng *Engine
-	for trial := 0; trial < 12; trial++ {
+	var push pushCoverage
+	for trial := 0; trial < 16; trial++ {
 		n := []int{5, 9, 70}[rng.Intn(3)]
 		seed := rng.Int63()
 		refCfg, wwCfg := randomDeliveryConfig(t, n, seed), randomDeliveryConfig(t, n, seed)
@@ -306,6 +403,17 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 		// rebuilt, a resized worker pool re-created, with no state leak.
 		wwCfg.ForceCSR = rng.Intn(2) == 0
 		wwCfg.RoundWorkers = []int{0, 2, 4}[rng.Intn(3)]
+		if trial%2 == 0 {
+			// Every other trial is push-shaped with the gate forced open,
+			// so the push cursors are recycled across Resets and sizes.
+			// The er2 sampler writes ordered logs, so these trials reach
+			// pushRound whatever adversary the draw picked.
+			refCfg, wwCfg = pushShaped(t, refCfg), pushShaped(t, wwCfg)
+			wwCfg.RoundWorkers = 0
+			p := []float64{0.1, 0.5}[rng.Intn(2)]
+			refCfg.Adversary = mustSparseProbabilistic(t, p, seed)
+			wwCfg.Adversary = mustSparseProbabilistic(t, p, seed)
+		}
 		var err error
 		if refEng == nil {
 			if refEng, err = NewEngine(refCfg); err != nil {
@@ -323,9 +431,12 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		wwEng.pushForce = pushBlockDraw(rng, n)
 		ref, ww := refEng.RunRounds(20), wwEng.RunRounds(20)
-		assertEqualResults(t, ref, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) recycled pair",
-			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers)
+		assertEqualResults(t, ref, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d, block=%d) recycled pair",
+			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers, wwEng.pushForce)
+		push.note(wwEng, wwCfg)
 	}
 	wwEng.Close()
+	push.check(t)
 }

@@ -119,6 +119,28 @@ type Engine struct {
 	// n=1025/p=8/n that is ~16k interface calls per round feeding a no-op.
 	trackPhases bool
 
+	// pushShape marks configurations whose rounds may take the
+	// sender-major pushRound (push.go): no Byzantine node, no link cap or
+	// bandwidth accounting, identity ports everywhere, no shuffle, no
+	// Observer/Recorder and no receiver pool. Crashes are allowed. Each
+	// round then also needs an ordered sparse log and enough in-degree
+	// (pushWorth); pushCursor is the per-sender cursor scratch, sized at
+	// Reset for push-shaped runs on a sparse scratch (a round without it,
+	// such as one on an adversary's own sparse set, stays on the pull
+	// paths), and pushPairs the round's log while pushRound reads it.
+	pushShape  bool
+	pushCursor []int32
+	pushPairs  []uint64
+	pushRounds int // rounds pushRound ran since Reset; read by the path-selection tests
+
+	// pushForce, when > 0, is a test seam: push-shaped rounds on an
+	// ordered sparse log take pushRound regardless of the in-degree gate,
+	// with this receiver block width. The gate never opens at the sizes
+	// the equivalence properties run, so they set it to cover the push
+	// path and its block boundaries. Never set outside tests; survives
+	// Reset like referenceRound.
+	pushForce int
+
 	// referenceRound switches the round loop to the retained reference
 	// implementations: the original O(n)-per-receiver port-loop gather,
 	// the eager full view refresh, and the word-wise lost count. Every
@@ -262,6 +284,11 @@ func (e *Engine) Reset(cfg Config) error {
 	// Observer/Recorder callbacks are ordered streams; those
 	// configurations keep the sequential loop regardless of the knob.
 	e.parRounds = workers > 1 && !e.trackPhases
+	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
+	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
+	e.pushRounds = 0
+	e.pushShape = len(cfg.Byzantine) == 0 && !e.hasCap && !cfg.AccountBandwidth &&
+		e.allIdentity && !cfg.ShuffleDelivery && !e.trackPhases && !e.parRounds
 
 	if ip, ok := cfg.Adversary.(adversary.InPlace); ok {
 		e.inPlace = ip
@@ -280,9 +307,12 @@ func (e *Engine) Reset(cfg Config) error {
 	} else {
 		e.inPlace = nil
 	}
+	// Only a push-shaped run on a sparse scratch can push; others never
+	// pay for the cursor.
+	if e.pushShape && e.inPlace != nil && e.edges.IsSparse() && len(e.pushCursor) < n {
+		e.pushCursor = make([]int32, n)
+	}
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
-	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
-	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
 
 	if e.view == nil {
 		e.view = newExecView(&e.cfg, e.isByz)
@@ -444,20 +474,26 @@ func (e *Engine) Step() {
 	// (3) Deliveries, per receiver in node order, per sender in the
 	// receiver's port order — fully deterministic. The gather walks the
 	// edge set's in-neighbor structure (bitmap or CSR row), so its cost
-	// scales with the receiver's actual in-degree, not n. Three
-	// executions of the same per-receiver semantics: the parallel round
-	// shards contiguous receiver ranges over the pool, the sequential
-	// CSR direct round scatters sender-major into per-receiver slices,
-	// and everything else runs deliverRange over the full range.
+	// scales with the receiver's actual in-degree, not n. Four
+	// executions of the same per-receiver semantics (the package doc
+	// tabulates what selects each): the parallel round shards contiguous
+	// receiver ranges over the pool, the push round walks the ordered
+	// edge log sender-major in cache-sized receiver blocks, the
+	// sequential CSR direct round scatters sender-major into
+	// per-receiver slices, and everything else runs deliverRange over the
+	// full range.
 	liveView := !e.viewSkip && !e.referenceRound
 	sparse := edges.IsSparse()
 	var roundDelivered int
+	roundLost := -1 // set by rounds that count losses in their own sweep
 	switch {
 	case e.parRounds && !e.referenceRound:
 		var bytes, oversized int
 		roundDelivered, bytes, oversized = e.parallelRound(t, edges, liveView, sparse)
 		e.result.BytesDelivered += bytes
 		e.result.MessagesOversized += oversized
+	case e.pushShape && sparse && !e.referenceRound && e.pushWorth(edges):
+		roundDelivered, roundLost = e.pushRound(t, liveView)
 	case sparse && e.directDeliver && !e.referenceRound && edges.Len() <= scatterMaxEdges:
 		roundDelivered = e.scatterRound(t, edges, liveView)
 	default:
@@ -477,11 +513,13 @@ func (e *Engine) Step() {
 	// Byzantine nodes, no crashes and no link caps, every one of the
 	// n(n−1) potential messages either delivered or was suppressed, so
 	// the count is a subtraction; otherwise one word-wise mask of the
-	// eligible receivers replaces the former O(n²) faulted fallback.
-	var roundLost int
-	if e.lostFast && !e.referenceRound {
+	// eligible receivers replaces the former O(n²) faulted fallback. A
+	// push round has already counted its losses during the sweep.
+	switch {
+	case roundLost >= 0:
+	case e.lostFast && !e.referenceRound:
 		roundLost = e.cfg.N*(e.cfg.N-1) - roundDelivered
-	} else {
+	default:
 		roundLost = countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask)
 	}
 	e.result.MessagesLost += roundLost
