@@ -257,6 +257,15 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("steady-state auto-CSR round allocated %g times per round, want 0", avg)
 		}
 	})
+	// A rotating regular graph writes its sparse log receiver-major, so
+	// every scatter round canonicalizes it in place first: the sort's
+	// scratch must be recycled too.
+	t.Run("d4/n=4097", func(t *testing.T) {
+		eng := steadyEngine(t, 4097, anondyn.Rotating(4))
+		if avg := testing.AllocsPerRun(30, eng.Step); avg != 0 {
+			t.Errorf("steady-state unordered CSR round allocated %g times per round, want 0", avg)
+		}
+	})
 	// Receiver-parallel rounds reuse the persistent pool and per-worker
 	// scratch; the steady state stays allocation-free on both
 	// representations.

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"testing"
 
 	"anondyn/internal/core"
@@ -173,8 +174,32 @@ func TestReseedMatchesFreshInstance(t *testing.T) {
 }
 
 // BenchmarkEdgesInto quantifies the fast path against the allocating
-// path for the two adversaries the engine's zero-alloc budget targets.
+// path for the two adversaries the engine's zero-alloc budget targets,
+// and times the er2 sampler's bulk append into a sparse log at n=4097:
+// p=0.004 is the ~16 in-links per node of a sparse DAC run, p=0.12 the
+// ~490 of a chaos storm fleet. ns/edge is the generation layer's cost
+// per drawn link.
 func BenchmarkEdgesInto(b *testing.B) {
+	for _, p := range []float64{0.004, 0.12} {
+		b.Run(fmt.Sprintf("er2/n=4097/p=%g/into", p), func(b *testing.B) {
+			const n = 4097
+			a, err := NewSparseProbabilistic(p, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view := SizeView(n)
+			dst := network.NewEdgeSetSparse(n)
+			a.EdgesInto(0, view, dst) // size the log
+			links := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.EdgesInto(i, view, dst)
+				links += dst.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(links), "ns/edge")
+		})
+	}
 	const n = 25
 	view := &driftView{n: n}
 	for _, bc := range []struct {

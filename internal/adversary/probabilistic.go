@@ -55,7 +55,7 @@ func (a *Probabilistic) EdgesInto(t int, view View, dst *network.EdgeSet) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && a.rng.Float64() < a.p {
-				dst.Add(u, v)
+				dst.AddUnchecked(u, v)
 			}
 		}
 	}

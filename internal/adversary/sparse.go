@@ -28,6 +28,10 @@ import (
 // the index space — each off-diagonal pair stays an independent
 // Bernoulli(p) draw, and the mapping from grid index to (u, v) stays a
 // division instead of a branchy triangular unrounding.
+//
+// A sparse dst gets its links appended to the log in bulk (BulkLog /
+// CommitBulk): the walk visits pairs in ascending u<<32|v order, so the
+// appended run ascends strictly.
 func sparseBernoulliInto(dst *network.EdgeSet, n int, p float64, rng *rand.Rand) {
 	if p <= 0 {
 		return
@@ -51,12 +55,19 @@ func sparseBernoulliInto(dst *network.EdgeSet, n int, p float64, rng *rand.Rand)
 	// integer division.
 	rem := float64(n) * float64(n)
 	u, v := 0, -1
+	sparse := dst.IsSparse()
+	var log []uint64
+	if sparse {
+		log = dst.BulkLog()
+	}
 	for {
-		f := math.Floor(rng.ExpFloat64() * invRate)
-		if f >= rem {
-			return
+		// rem is a whole number, so x ≥ rem exactly when ⌊x⌋ ≥ rem, and
+		// below rem ≤ n² < 2⁵³ the conversion truncates to ⌊x⌋.
+		x := rng.ExpFloat64() * invRate
+		if x >= rem {
+			break
 		}
-		k := int(f) + 1
+		k := int(x) + 1
 		rem -= float64(k)
 		v += k
 		if v >= n {
@@ -69,8 +80,15 @@ func sparseBernoulliInto(dst *network.EdgeSet, n int, p float64, rng *rand.Rand)
 			}
 		}
 		if u != v {
-			dst.AddUnchecked(u, v)
+			if sparse {
+				log = append(log, uint64(u)<<32|uint64(v))
+			} else {
+				dst.AddUnchecked(u, v)
+			}
 		}
+	}
+	if sparse {
+		dst.CommitBulk(log, true)
 	}
 }
 

@@ -28,8 +28,10 @@ const SparseThreshold = 2048
 // A reset log is ordered, appends keep it so while they ascend (the er2
 // sampler, dense-to-sparse copies and every filter do), and the first
 // out-of-order append clears the flag. An ordered log already IS the
-// sender-major view, so build skips the sort and dedup and Retain can
-// filter the log in place without building at all.
+// sender-major view, so build skips the sort and dedup, and readers
+// that walk links sender-major (Retain, the engine's scatter and push
+// rounds) read the log itself without building at all. Canonicalize
+// rewrites any other log into that order in place.
 type csrState struct {
 	pairs   []uint64 // mutation log, u<<32 | v per link
 	ordered bool     // pairs strictly ascending: canonical order, no duplicates
@@ -144,19 +146,23 @@ func (e *EdgeSet) OutList(u int) []int32 {
 
 // OrderedLog exposes an ordered sparse log for sender-major walks that
 // need no CSR view: pairs is the log itself — u<<32|v per link, strictly
-// ascending, so each sender's receivers form one ascending run — and
-// starts[u] (caller-owned, length ≥ n) is filled with the index of u's
-// first link, or of the first link of the next sender when u has none.
-// ok is false, and starts untouched, for a dense set or a log that is
-// not ordered. Nothing is built; the starts cost O(n log links) binary
-// searches. pairs aliases internal storage, is valid until the next
-// mutation and must be treated as read-only.
+// ascending, so each sender's receivers form one ascending run. When
+// starts is non-nil (caller-owned, length ≥ n), starts[u] is filled with
+// the index of u's first link, or of the first link of the next sender
+// when u has none, at a cost of O(n log links) binary searches. ok is
+// false, and starts untouched, for a dense set or a log that is not
+// ordered (Canonicalize makes it so). Nothing is built. pairs aliases
+// internal storage, is valid until the next mutation and must be
+// treated as read-only.
 func (e *EdgeSet) OrderedLog(starts []int32) (pairs []uint64, ok bool) {
 	c := e.csr
 	if c == nil || !c.ordered {
 		return nil, false
 	}
 	pairs = c.pairs
+	if starts == nil {
+		return pairs, true
+	}
 	lo := 0
 	for u := 0; u < e.n; u++ {
 		i, _ := slices.BinarySearch(pairs[lo:], uint64(u)<<32)
@@ -166,6 +172,65 @@ func (e *EdgeSet) OrderedLog(starts []int32) (pairs []uint64, ok bool) {
 	return pairs, true
 }
 
+// Canonicalize rewrites a sparse log in canonical order — ascending by
+// u<<32|v, duplicates dropped — so OrderedLog accepts it. It is a
+// sender-major counting sort plus dedup; no receiver-major view is
+// built, and the link set is unchanged. A no-op on a dense set or an
+// ordered log.
+func (e *EdgeSet) Canonicalize() {
+	c := e.csr
+	if c == nil || c.ordered {
+		return
+	}
+	if len(c.pairs) > c.maxPairs {
+		c.maxPairs = len(c.pairs)
+	}
+	clear(c.outStart)
+	m := e.sortLog()
+	for u := 0; u < e.n; u++ {
+		hi := uint64(u) << 32
+		for i := c.outStart[u]; i < c.outStart[u+1]; i++ {
+			c.pairs[i] = hi | uint64(uint32(c.outList[i]))
+		}
+	}
+	// The link set is unchanged, so views built before stay valid and
+	// dirty keeps its value.
+	c.pairs = c.pairs[:m]
+	c.ordered = true
+}
+
+// BulkLog hands a bulk generator the sparse log to append to directly:
+// the caller appends packed links u<<32|v (0 ≤ u,v < n, u ≠ v) and
+// passes the extended slice to CommitBulk before any other call on the
+// set. It skips the per-link call and ordered check of AddUnchecked,
+// which are measurable at er2 scale. Sparse mode only.
+func (e *EdgeSet) BulkLog() []uint64 {
+	return e.mustSparse("BulkLog").pairs
+}
+
+// CommitBulk installs a log that BulkLog returned and the caller
+// extended. ascending tells whether the appended links ascend strictly
+// among themselves, which a generator walking the pair grid in order
+// knows without checking; CommitBulk checks the join, so the ordered
+// flag stays exactly what per-link AddUnchecked calls would leave: set
+// only if the log was ordered, the new links ascend, and the first of
+// them lies past the last link already logged.
+func (e *EdgeSet) CommitBulk(log []uint64, ascending bool) {
+	c := e.mustSparse("CommitBulk")
+	old := len(c.pairs)
+	if len(log) < old {
+		panic("network: CommitBulk with a log shorter than the one BulkLog returned")
+	}
+	if len(log) == old {
+		return
+	}
+	// log[old-1] is the last logged link whether or not the appends
+	// reallocated.
+	c.ordered = c.ordered && ascending && (old == 0 || log[old] > log[old-1])
+	c.pairs = log
+	c.dirty = true
+}
+
 func (e *EdgeSet) mustSparse(method string) *csrState {
 	if e.csr == nil {
 		panic("network: " + method + " on a dense EdgeSet")
@@ -173,17 +238,17 @@ func (e *EdgeSet) mustSparse(method string) *csrState {
 	return e.csr
 }
 
-// build compacts the mutation log into both CSR views. An ordered log
-// takes two passes: one that copies the receivers straight into outList
-// while counting both directions' degrees, then the transposed scatter.
-// Any other log takes the general path: counting sort by sender,
-// per-row ascending order, in-place dedup, a recount of in-degrees,
-// then the same scatter. Cost O(n + log length) either way.
+// build compacts the mutation log into both CSR views. A log that is
+// not ordered is canonicalized first, so the views always come from an
+// ordered log in two passes: one that copies the receivers straight
+// into outList while counting both directions' degrees, then the
+// transposed scatter. Cost O(n + log length).
 func (e *EdgeSet) build() {
 	c := e.csr
 	if !c.dirty {
 		return
 	}
+	e.Canonicalize()
 	c.dirty = false
 	if len(c.pairs) > c.maxPairs {
 		c.maxPairs = len(c.pairs)
@@ -191,23 +256,15 @@ func (e *EdgeSet) build() {
 	n := e.n
 	clear(c.outStart)
 	clear(c.inStart)
-	var m int
-	if c.ordered {
-		m = len(c.pairs)
-		c.outList = growInt32(c.outList, m)
-		for i, p := range c.pairs {
-			v := uint32(p)
-			c.outList[i] = int32(v)
-			c.outStart[(p>>32)+1]++
-			c.inStart[v+1]++
-		}
-		prefixSum(c.outStart)
-	} else {
-		m = e.buildUnordered()
-		for _, v := range c.outList[:m] {
-			c.inStart[v+1]++
-		}
+	m := len(c.pairs)
+	c.outList = growInt32(c.outList, m)
+	for i, p := range c.pairs {
+		v := uint32(p)
+		c.outList[i] = int32(v)
+		c.outStart[(p>>32)+1]++
+		c.inStart[v+1]++
 	}
+	prefixSum(c.outStart)
 	prefixSum(c.inStart)
 
 	// Receiver-major transpose: senders land in ascending order because
@@ -222,10 +279,11 @@ func (e *EdgeSet) build() {
 	}
 }
 
-// buildUnordered fills the sender-major view from a log in any order,
-// with duplicates: count, prefix, scatter, then sort each row if needed
-// and dedup, compacting in place. It returns the distinct link count.
-func (e *EdgeSet) buildUnordered() int {
+// sortLog fills outStart/outList from a log in any order, with
+// duplicates: count, prefix, scatter, then sort each row if needed and
+// dedup, compacting in place. outStart must be zeroed. It returns the
+// distinct link count.
+func (e *EdgeSet) sortLog() int {
 	c := e.csr
 	n := e.n
 	for _, p := range c.pairs {
@@ -287,27 +345,11 @@ func (e *EdgeSet) sparseReset() {
 	c.dirty = true
 }
 
-// sparseRetain is Retain in sparse mode. An ordered log is filtered in
-// place, with no build. Any other log is built once and rewritten from
-// the sender-major view, so it comes out ordered; it fits in the log's
-// own storage because the view holds at most as many links as the log.
+// sparseRetain is Retain in sparse mode: the log is canonicalized if
+// it is not ordered, then filtered in place, with no build.
 func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
+	e.Canonicalize()
 	c := e.csr
-	if !c.ordered {
-		e.build()
-		m := int(c.outStart[e.n])
-		c.pairs = c.pairs[:0]
-		for u := 0; u < e.n; u++ {
-			for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
-				if keep(u, int(v)) {
-					c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
-				}
-			}
-		}
-		c.ordered = true
-		c.dirty = len(c.pairs) != m
-		return
-	}
 	w := 0
 	for _, p := range c.pairs {
 		if keep(int(p>>32), int(uint32(p))) {

@@ -505,3 +505,146 @@ func TestOrderedLogLenWithoutBuild(t *testing.T) {
 		t.Error("OrderedLog accepted a dense set")
 	}
 }
+
+// TestBulkAppendMatchesAddUnchecked drives the BulkLog/CommitBulk seam
+// against per-link AddUnchecked references, dense and sparse, on logs
+// that already hold links: empty, ordered and unordered prefixes, then
+// appended runs that ascend past the prefix, ascend but start at or
+// below its last link, or do not ascend at all. The ordered flag must
+// come out exactly as the per-link appends leave it, and every
+// observable must match.
+func TestBulkAppendMatchesAddUnchecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(70)
+		bulk, ref, dense := NewEdgeSetSparse(n), NewEdgeSetSparse(n), NewEdgeSet(n)
+		var prefix []uint64
+		switch rng.Intn(3) {
+		case 1:
+			prefix = ascendingPairs(rng, n)
+		case 2:
+			for k := 0; k < 1+rng.Intn(2*n); k++ {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					prefix = append(prefix, uint64(u)<<32|uint64(v))
+				}
+			}
+		}
+		run := ascendingPairs(rng, n)
+		ascending := true
+		switch rng.Intn(4) {
+		case 0: // keep only the part past the prefix's last link
+			if len(prefix) > 0 {
+				last := prefix[len(prefix)-1]
+				i, _ := slices.BinarySearch(run, last+1)
+				run = run[i:]
+			}
+		case 1: // shuffled: not ascending
+			rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+			for i := 1; i < len(run); i++ {
+				ascending = ascending && run[i-1] < run[i]
+			}
+		case 2: // starts exactly at the prefix's last link
+			if len(prefix) > 0 {
+				run = append([]uint64{prefix[len(prefix)-1]}, run...)
+			}
+		}
+		for _, s := range []*EdgeSet{bulk, ref, dense} {
+			for _, p := range prefix {
+				s.AddUnchecked(int(p>>32), int(uint32(p)))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			// Canonicalized and built prefixes: the views must be rebuilt
+			// after the append.
+			bulk.InCSR()
+			ref.InCSR()
+		}
+		log := bulk.BulkLog()
+		log = append(log, run...)
+		bulk.CommitBulk(log, ascending)
+		for _, p := range run {
+			ref.AddUnchecked(int(p>>32), int(uint32(p)))
+			dense.AddUnchecked(int(p>>32), int(uint32(p)))
+		}
+		if bulk.csr.ordered != ref.csr.ordered {
+			t.Fatalf("trial %d: ordered = %v after the bulk append, per-link appends give %v", trial, bulk.csr.ordered, ref.csr.ordered)
+		}
+		assertOrderedInvariant(t, bulk)
+		if bulk.Len() != ref.Len() || bulk.Len() != dense.Len() {
+			t.Fatalf("trial %d: Len %d, references %d (sparse) %d (dense)", trial, bulk.Len(), ref.Len(), dense.Len())
+		}
+		if !bulk.Equal(ref) || !bulk.Equal(dense) || !dense.Equal(bulk) {
+			t.Fatalf("trial %d: bulk append diverged from AddUnchecked", trial)
+		}
+		if !sameEdgeList(bulk.Edges(), dense.Edges()) {
+			t.Fatalf("trial %d: ForEachEdge order diverged", trial)
+		}
+		bo, bl := bulk.OutCSR()
+		ro, rl := ref.OutCSR()
+		bi, bil := bulk.InCSR()
+		ri, ril := ref.InCSR()
+		if !slices.Equal(bo, ro) || !slices.Equal(bl, rl) || !slices.Equal(bi, ri) || !slices.Equal(bil, ril) {
+			t.Fatalf("trial %d: CSR views diverged from the per-link reference", trial)
+		}
+	}
+
+	// The join rule on its own.
+	s := NewEdgeSetSparse(8)
+	s.Add(2, 5)
+	s.CommitBulk(append(s.BulkLog(), 2<<32|6, 3<<32|0), true)
+	if !s.csr.ordered {
+		t.Error("an ascending join cleared the ordered flag")
+	}
+	s.CommitBulk(append(s.BulkLog(), 3<<32|0, 4<<32|1), true)
+	if s.csr.ordered {
+		t.Error("a join repeating the last link kept the ordered flag")
+	}
+	if got := s.Len(); got != 4 {
+		t.Errorf("Len = %d after a duplicate join, want 4", got)
+	}
+	s.Reset()
+	s.CommitBulk(append(s.BulkLog(), 1<<32|2, 0<<32|1), false)
+	if s.csr.ordered {
+		t.Error("a run declared out of order kept the ordered flag")
+	}
+}
+
+// TestCanonicalizeRewritesLog: Canonicalize turns any sparse log into
+// the strictly ascending, duplicate-free log of the same links, whose
+// views then build exactly as the general counting-sort build does.
+func TestCanonicalizeRewritesLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(97)
+		s := randomMixedSet(rng, n)
+		if !s.IsSparse() {
+			continue
+		}
+		want := s.Edges()
+		if rng.Intn(2) == 0 {
+			s.Add(rng.Intn(n), rng.Intn(n)) // dirty again after the Edges build
+			want = s.Edges()
+		}
+		s.Canonicalize()
+		if !s.csr.ordered {
+			t.Fatalf("trial %d: Canonicalize left the log unordered", trial)
+		}
+		assertOrderedInvariant(t, s)
+		pairs, ok := s.OrderedLog(nil)
+		if !ok || len(pairs) != len(want) {
+			t.Fatalf("trial %d: OrderedLog ok=%v with %d pairs, want %d", trial, ok, len(pairs), len(want))
+		}
+		for i, p := range pairs {
+			if got := [2]int{int(p >> 32), int(uint32(p))}; got != want[i] {
+				t.Fatalf("trial %d: log entry %d is %d→%d, want %v", trial, i, p>>32, uint32(p), want[i])
+			}
+		}
+		assertBuildMatchesOracle(t, s)
+	}
+	s := NewEdgeSet(4)
+	s.Add(1, 2)
+	s.Canonicalize() // dense: a no-op
+	if !s.Has(1, 2) || s.Len() != 1 {
+		t.Error("Canonicalize changed a dense set")
+	}
+}

@@ -215,14 +215,11 @@ func (e *EdgeSet) OutHits(u int, mask []uint64) int {
 
 // Len returns the total number of directed links. An ordered sparse
 // log holds no duplicates, so its length is the count and nothing is
-// built; any other sparse log is built once to deduplicate.
+// built; any other sparse log is canonicalized first (see Canonicalize).
 func (e *EdgeSet) Len() int {
 	if c := e.csr; c != nil {
-		if c.ordered {
-			return len(c.pairs)
-		}
-		e.build()
-		return int(e.csr.outStart[e.n])
+		e.Canonicalize()
+		return len(c.pairs)
 	}
 	total := 0
 	for _, w := range e.out {
@@ -241,10 +238,9 @@ func (e *EdgeSet) ForEachEdge(fn func(u, v int) bool) { e.forEachEdge(fn) }
 // Retain keeps exactly the links for which keep returns true. keep is
 // called once per link, in ForEachEdge order, so a filter that folds
 // the walk into randomized decisions draws identically in either
-// representation. It filters in place: a dense set clears bits, an
-// ordered sparse log (see csrState) compacts without a build, and any
-// other sparse log is built once and rewritten in canonical order.
-// keep must not mutate the set.
+// representation. It filters in place: a dense set clears bits, and a
+// sparse log (see csrState) compacts without a build, after an
+// unordered one is canonicalized. keep must not mutate the set.
 func (e *EdgeSet) Retain(keep func(u, v int) bool) {
 	if e.csr != nil {
 		e.sparseRetain(keep)

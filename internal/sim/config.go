@@ -17,9 +17,12 @@
 //	               shuffle, no Observer or Recorder (crashes are    blocks; no CSR view is built
 //	               fine); ordered sparse log; mean in-degree
 //	               ≥ pushMinDegree·⌈n/pushBlock⌉
-//	scatterRound   sequential; no fault of any kind, no bandwidth   both CSR views, scattered into
-//	               accounting, identity ports, no shuffle, no       one flat delivery buffer
-//	               Observer or Recorder; sparse; ≤ 2¹⁸ edges
+//	scatterRound   sequential; no fault of any kind, no bandwidth   the ordered sparse edge log
+//	               accounting, identity ports, no shuffle, no       (an unordered one is
+//	               Observer or Recorder; sparse; ≤ 2¹⁸ edges        canonicalized in place),
+//	                                                                scattered into one flat
+//	                                                                delivery buffer; no CSR view
+//	                                                                is built
 //	deliverRange   everything else                                  in-CSR rows or dense in-rows,
 //	                                                                one receiver at a time
 package sim

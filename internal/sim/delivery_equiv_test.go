@@ -24,6 +24,7 @@ import (
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var push pushCoverage
+	var scatter scatterCoverage
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -88,16 +89,38 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		// delivery stream exactly.
 		bareWW.ForceCSR = rng.Intn(2) == 0
 		bareWW.RoundWorkers = []int{0, -1, 2, 3, 5}[rng.Intn(5)]
+		bareProbe := probeLogOrder(&bareWW)
 		bareWWEng, err := NewEngine(bareWW)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rr, ww := bareRefEng.RunRounds(25), bareWWEng.RunRounds(25)
+		rr, ww := bareRefEng.RunRounds(25), bareProbe.run(bareWWEng, 25)
 		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
 			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
 		bareWWEng.Close()
+		scatter.note(bareProbe)
 
-		// Fourth run: the same draw scrubbed to the push shape (crashes
+		// Fourth run: the same draw scrubbed to the scatter shape
+		// (push-shaped, and no crashes either) on forced CSR, sequential:
+		// every round with a sparse log and too few links to push
+		// scatters, whatever faults, ports and workers the draw picked
+		// above. The bare pair rarely gets there.
+		scatRef, scatCfg := scatterShaped(t, cfg()), scatterShaped(t, cfg())
+		scatRefEng, err := NewEngine(scatRef)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		scatRefEng.referenceRound = true
+		scatProbe := probeLogOrder(&scatCfg)
+		scatEng, err := NewEngine(scatCfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rr, sc := scatRefEng.RunRounds(25), scatProbe.run(scatEng, 25)
+		assertEqualResults(t, rr, sc, "trial %d (n=%d, seed=%d) scatter pair", trial, n, seed)
+		scatter.note(scatProbe)
+
+		// Fifth run: the same draw scrubbed to the push shape (crashes
 		// kept, everything pushRound excludes removed) on forced CSR, with
 		// the in-degree gate bypassed and a random receiver block width,
 		// against the reference on the identical configuration.
@@ -118,6 +141,95 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		push.note(pushEng, pushCfg)
 	}
 	push.check(t)
+	scatter.check(t)
+}
+
+// scatterShaped is pushShaped with the crash schedule dropped too: the
+// fault-free shape that arms directDeliver, and with it scatterRound.
+func scatterShaped(t *testing.T, cfg Config) Config {
+	t.Helper()
+	cfg = pushShaped(t, cfg)
+	cfg.Crashes = nil
+	cfg.F = 0
+	return cfg
+}
+
+// logOrderProbe wraps an in-place adversary and records, for each round
+// scatterRound ran, whether the adversary had left the round's log
+// ordered or scatterRound had to canonicalize it first.
+type logOrderProbe struct {
+	adversary.InPlace
+	eng          *Engine
+	lastOrdered  bool
+	lastScatters int
+	ordered      int // scatter rounds on logs the adversary left ordered
+	unordered    int // scatter rounds on logs canonicalized first
+}
+
+// probeLogOrder installs a probe around cfg's adversary; a nil probe
+// (for an adversary without the in-place path) records nothing.
+func probeLogOrder(cfg *Config) *logOrderProbe {
+	ip, ok := cfg.Adversary.(adversary.InPlace)
+	if !ok {
+		return nil
+	}
+	p := &logOrderProbe{InPlace: ip}
+	cfg.Adversary = p
+	return p
+}
+
+// Oblivious forwards the wrapped adversary's marker, so the probe does
+// not change the engine's view maintenance.
+func (p *logOrderProbe) Oblivious() bool { return adversary.IsOblivious(p.InPlace) }
+
+func (p *logOrderProbe) EdgesInto(t int, view adversary.View, dst *network.EdgeSet) {
+	p.settle()
+	p.InPlace.EdgesInto(t, view, dst)
+	_, p.lastOrdered = dst.OrderedLog(nil)
+}
+
+// settle attributes the scatter rounds since the last call to the order
+// of the log the adversary wrote for them.
+func (p *logOrderProbe) settle() {
+	d := p.eng.scatterRounds - p.lastScatters
+	p.lastScatters = p.eng.scatterRounds
+	if p.lastOrdered {
+		p.ordered += d
+	} else {
+		p.unordered += d
+	}
+}
+
+// run drives eng, whose adversary p wraps, for k rounds.
+func (p *logOrderProbe) run(eng *Engine, k int) *Result {
+	if p == nil {
+		return eng.RunRounds(k)
+	}
+	p.eng = eng
+	res := eng.RunRounds(k)
+	p.settle()
+	return res
+}
+
+// scatterCoverage tallies the scatter rounds the equivalence runs
+// exercised, by the order of the log they read.
+type scatterCoverage struct {
+	ordered, unordered int
+}
+
+func (c *scatterCoverage) note(p *logOrderProbe) {
+	if p != nil {
+		c.ordered += p.ordered
+		c.unordered += p.unordered
+	}
+}
+
+func (c *scatterCoverage) check(t *testing.T) {
+	t.Helper()
+	t.Logf("scatter coverage: %+v", *c)
+	if c.ordered == 0 || c.unordered == 0 {
+		t.Fatalf("scatter path under-covered: %+v", *c)
+	}
 }
 
 // pushShaped scrubs a randomDeliveryConfig draw down to the shape

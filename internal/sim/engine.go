@@ -53,8 +53,8 @@ type Engine struct {
 	byzMsgs    [][]*core.Message
 	scratch    []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
 	seq        [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
-	flat       []core.Delivery      // sender-major scatter buffer (sequential CSR direct rounds)
-	cursor     []int32              // per-receiver write cursor over flat, seeded from the in-CSR starts
+	flat       []core.Delivery      // per-receiver delivery slices, back to back (scatterRound)
+	cursor     []int32              // per-receiver slice starts, then write cursors, over flat; sized at Reset for direct-delivery runs
 	bulk       []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
 	recvMask   []uint64             // word-wise mask of round-t-eligible receivers
 	edges      *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
@@ -132,6 +132,8 @@ type Engine struct {
 	pushCursor []int32
 	pushPairs  []uint64
 	pushRounds int // rounds pushRound ran since Reset; read by the path-selection tests
+
+	scatterRounds int // rounds scatterRound ran since Reset; read by the path-selection tests
 
 	// pushForce, when > 0, is a test seam: push-shaped rounds on an
 	// ordered sparse log take pushRound regardless of the in-degree gate,
@@ -286,7 +288,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.parRounds = workers > 1 && !e.trackPhases
 	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
 	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
-	e.pushRounds = 0
+	e.pushRounds, e.scatterRounds = 0, 0
 	e.pushShape = len(cfg.Byzantine) == 0 && !e.hasCap && !cfg.AccountBandwidth &&
 		e.allIdentity && !cfg.ShuffleDelivery && !e.trackPhases && !e.parRounds
 
@@ -311,6 +313,11 @@ func (e *Engine) Reset(cfg Config) error {
 	// pay for the cursor.
 	if e.pushShape && e.inPlace != nil && e.edges.IsSparse() && len(e.pushCursor) < n {
 		e.pushCursor = make([]int32, n)
+	}
+	// Only a direct-delivery run can scatter; others never pay for the
+	// in-degree starts.
+	if e.directDeliver && len(e.cursor) < n {
+		e.cursor = make([]int32, n)
 	}
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
 
@@ -479,7 +486,7 @@ func (e *Engine) Step() {
 	// tabulates what selects each): the parallel round shards contiguous
 	// receiver ranges over the pool, the push round walks the ordered
 	// edge log sender-major in cache-sized receiver blocks, the
-	// sequential CSR direct round scatters sender-major into
+	// sequential sparse direct round scatters the ordered edge log into
 	// per-receiver slices, and everything else runs deliverRange over the
 	// full range.
 	liveView := !e.viewSkip && !e.referenceRound
@@ -691,25 +698,29 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 // scatter's random writes then cost more than the per-receiver gather's
 // random broadcast reads (measured: the crossover sits between the
 // n=16385 and n=65537 er2 rows of BenchmarkEngineRound). Above the
-// bound the direct CSR round falls back to deliverRange's per-receiver
-// InList gather, which touches only a receiver-sized buffer.
+// bound the sparse direct round falls back to deliverRange's
+// per-receiver InList gather, which touches only a receiver-sized
+// buffer.
 const scatterMaxEdges = 1 << 18
 
-// scatterRound is the sequential CSR direct round: instead of gathering
-// per receiver (one random broadcast read per edge), it walks the
-// senders once and scatters each broadcast down its out-row into a
-// flat sender-major delivery buffer partitioned by the in-CSR row
-// starts — then hands every receiver its contiguous in-edge slice in
-// one DeliverAll (or a per-edge fold for algorithms without the seam).
-// Reachable only under directDeliver (no faults, identity ports, no
-// shuffle, no observers), so every node is alive and Port == sender ID;
-// each receiver's slice comes out in ascending sender order because the
-// scatter's outer loop ascends, matching the gather paths bit-for-bit.
+// scatterRound is the sequential sparse direct round: instead of
+// gathering per receiver (one random broadcast read per edge), it reads
+// the round's ordered edge log — already sender-major — in three
+// passes: count each receiver's in-degree, prefix-sum the counts into
+// slice starts, then scatter each link's delivery into a flat buffer at
+// its receiver's cursor. Every receiver then gets its contiguous slice
+// in one DeliverAll (or a per-edge fold for algorithms without the
+// seam). An unordered log is canonicalized in place first (by the
+// gate's Len, in fact); no CSR view is built. Reachable only under directDeliver (no
+// faults, identity ports, no shuffle, no observers), so every node is
+// alive and Port == sender ID; each receiver's slice comes out in
+// ascending sender order because the log ascends, matching the gather
+// paths bit-for-bit.
 func (e *Engine) scatterRound(t int, edges *network.EdgeSet, liveView bool) int {
 	n := e.cfg.N
-	inStarts, _ := edges.InCSR()
-	outStarts, outIDs := edges.OutCSR()
-	total := int(outStarts[n])
+	edges.Canonicalize() // a no-op here: the gate's Len already did it
+	pairs, _ := edges.OrderedLog(nil)
+	total := len(pairs)
 	if cap(e.flat) < total {
 		// Same headroom discipline as the sparse edge log: a later
 		// record-edge round within 25% of the high-water mark keeps
@@ -717,22 +728,34 @@ func (e *Engine) scatterRound(t int, edges *network.EdgeSet, liveView bool) int 
 		e.flat = make([]core.Delivery, 0, total+total/4)
 	}
 	flat := e.flat[:total]
-	if cap(e.cursor) < n {
-		e.cursor = make([]int32, n)
-	}
 	cursor := e.cursor[:n]
-	copy(cursor, inStarts[:n])
-	for u := 0; u < n; u++ {
-		m := e.broadcasts[u]
-		for _, v := range outIDs[outStarts[u]:outStarts[u+1]] {
+	clear(cursor)
+	for _, p := range pairs {
+		cursor[uint32(p)]++
+	}
+	start := int32(0)
+	for v, d := range cursor {
+		cursor[v] = start
+		start += d
+	}
+	for i := 0; i < len(pairs); {
+		// One sender's run: its links share the delivery.
+		u := pairs[i] >> 32
+		d := core.Delivery{Port: int(u), Msg: e.broadcasts[u]}
+		for ; i < len(pairs) && pairs[i]>>32 == u; i++ {
+			v := uint32(pairs[i])
 			c := cursor[v]
-			flat[c] = core.Delivery{Port: u, Msg: m}
+			flat[c] = d
 			cursor[v] = c + 1
 		}
 	}
+	// cursor[v] now ends v's slice, which starts where v-1's ended.
+	lo := int32(0)
 	for v := 0; v < n; v++ {
 		proc := e.cfg.Procs[v]
-		ds := flat[inStarts[v]:inStarts[v+1]]
+		hi := cursor[v]
+		ds := flat[lo:hi]
+		lo = hi
 		if b := e.bulk[v]; b != nil {
 			b.DeliverAll(ds)
 		} else {
@@ -747,6 +770,7 @@ func (e *Engine) scatterRound(t int, edges *network.EdgeSet, liveView bool) int 
 		}
 	}
 	e.flat = flat
+	e.scatterRounds++
 	return total
 }
 

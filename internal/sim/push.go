@@ -30,10 +30,24 @@ import (
 // c=24 keeps n=16385 at in-degree 256 on the pull paths and admits
 // in-degree 492 and n=4097 from in-degree 120 up. It gives up the
 // n=4097 wins at in-degree 32–64, where the whole log still fits in
-// cache. Blocks of 256 receivers lost at n=16385 (in-degree 8–128:
-// 1.2–1.8× pull), and blocks of 4096 were within noise of 1024 above
-// the gate (two to three passes of every width), so the width stays at
-// 1024, which is about 0.6 MB of DAC state at n=4097.
+// cache.
+//
+// Re-derived once scatterRound read the ordered log with no CSR build
+// (same machine and settings; pull is scatterRound fault-free up to 2¹⁸
+// edges and deliverRange otherwise):
+//
+//	n=4097  in-degree  16:  46 → 55 / 66 → 47
+//	n=4097  in-degree  24:  43 → 51 / 57 → 46
+//	n=4097  in-degree  32:  45 → 46 / 66 → 51
+//	n=4097  in-degree  64:  55 → 49 / 66 → 49
+//
+// Fault-free push no longer wins below in-degree 64, and a c low enough
+// to admit n=4097 at 64 (c ≤ 12) would admit n=16385 from in-degree
+// 204, where push lost at 256, so c stays 24. Blocks of 256 receivers
+// lost at n=16385 (in-degree 8–128: 1.2–1.8× pull), and blocks of 4096
+// were within noise of 1024 above the gate (two to three passes of
+// every width), so the width stays at 1024, which is about 0.6 MB of
+// DAC state at n=4097.
 const (
 	pushBlock     = 1024
 	pushMinDegree = 24
@@ -49,15 +63,20 @@ func (e *Engine) pushWorth(edges *network.EdgeSet) bool {
 	if len(e.pushCursor) < n {
 		return false
 	}
+	// An unordered log stays on the pull paths; the order is checked
+	// before Len could canonicalize it.
+	pairs, ok := edges.OrderedLog(nil)
+	if !ok {
+		return false
+	}
 	if e.pushForce == 0 {
 		blocks := (n + pushBlock - 1) / pushBlock
-		if edges.Len() < pushMinDegree*blocks*n {
+		if len(pairs) < pushMinDegree*blocks*n {
 			return false
 		}
 	}
-	var ok bool
-	e.pushPairs, ok = edges.OrderedLog(e.pushCursor)
-	return ok
+	e.pushPairs, _ = edges.OrderedLog(e.pushCursor)
+	return true
 }
 
 // pushRound is the sender-major round: it walks the ordered edge log

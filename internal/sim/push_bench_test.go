@@ -24,7 +24,7 @@ import (
 // least pushMinDegree·⌈n/pushBlock⌉.
 func BenchmarkPushSweep(b *testing.B) {
 	for _, n := range []int{4097, 16385} {
-		for _, degree := range []int{8, 16, 32, 64, 128, 256, 492} {
+		for _, degree := range []int{8, 16, 24, 32, 64, 128, 256, 492} {
 			for _, crash := range []bool{false, true} {
 				for _, block := range []int{0, 256, 1024, 4096} {
 					path := "pull"
